@@ -8,16 +8,14 @@ serialized downstream.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import IncompleteTransition, UnknownState, UnknownSymbol
+from .errors import ClosureBudgetExceeded, IncompleteTransition, UnknownState, UnknownSymbol
 
 __all__ = ["Dfa", "Nfa", "subset_name", "WORD_SEPARATOR"]
 
 # Reserved on the command line to separate multi-character symbols in a word.
 WORD_SEPARATOR = "."
-
-Word = tuple[str, ...]
 
 
 def check_alphabet(symbols: Sequence[str]) -> tuple[str, ...]:
@@ -54,9 +52,68 @@ def check_states(names: Sequence[str], initial: str) -> tuple[str, ...]:
     return names
 
 
+class _Exploration(NamedTuple):
+    order: list  # states in discovery order; index 0 is the start
+    delta: dict[tuple[int, str], int]  # (source index, symbol) -> target index
+    parents: list[tuple[int, str] | None]  # BFS parent (index, symbol); None at 0
+    stopped: int | None  # index of the state that satisfied ``stop``, if any
+
+    def named_delta(self, names: Sequence[str]) -> dict[tuple[str, str], str]:
+        """The transitions with state indices replaced by ``names``."""
+        return {(names[i], a): names[j] for (i, a), j in self.delta.items()}
+
+
+def _explore(
+    start: Hashable,
+    step: Callable[[Hashable, str], Hashable],
+    alphabet: Sequence[str],
+    budget: int | None = None,
+    stop: Callable[[Hashable], bool] | None = None,
+) -> _Exploration:
+    """Breadth-first search from ``start`` taking successors in alphabet order.
+
+    The discovery order, and every name derived from it, is reproducible, and
+    following the parents back from a state spells its earliest access word
+    in length-then-alphabet order.  More than ``budget`` states raise
+    ClosureBudgetExceeded; the search ends at the first state in discovery
+    order that satisfies ``stop``.
+    """
+    order = [start]
+    index = {start: 0}
+    delta: dict[tuple[int, str], int] = {}
+    parents: list[tuple[int, str] | None] = [None]
+    # ``order`` grows while it is iterated, which makes it the BFS queue.
+    for i, state in enumerate(order):
+        if stop is not None and stop(state):
+            return _Exploration(order, delta, parents, i)
+        for a in alphabet:
+            target = step(state, a)
+            j = index.get(target)
+            if j is None:
+                if budget is not None and len(order) >= budget:
+                    raise ClosureBudgetExceeded(f"more than {budget} reachable states")
+                j = index[target] = len(order)
+                order.append(target)
+                parents.append((i, a))
+            delta[(i, a)] = j
+    return _Exploration(order, delta, parents, None)
+
+
+def _escape(name: str) -> str:
+    return name.replace("\\", "\\\\").replace(",", "\\,")
+
+
 def subset_name(members: Iterable[str]) -> str:
-    """Canonical name of a state subset: sorted members, comma-joined, braced."""
-    return "{" + ",".join(sorted(members)) + "}"
+    """Canonical name of a state subset: sorted members, comma-joined, braced.
+
+    Backslashes and commas inside member names are backslash-escaped, so
+    distinct subsets always get distinct names."""
+    return "{" + ",".join(_escape(m) for m in sorted(members)) + "}"
+
+
+def _pair_name(pair: tuple[str, str]) -> str:
+    """Name of a product state, "(q,p)", escaped like subset names."""
+    return f"({_escape(pair[0])},{_escape(pair[1])})"
 
 
 class Dfa:
@@ -147,11 +204,21 @@ class Nfa:
             raise UnknownState(f"unknown state {q!r}")
         current = frozenset({q})
         for a in w:
-            current = frozenset(p for s in current for p in self.successors(s, a))
+            current = self._step(current, a)
         return current
 
     def accepts(self, w: Sequence[str]) -> bool:
         return bool(self.extended(self.initial, w) & self.finals)
+
+    def _step(self, subset: frozenset[str], a: str) -> frozenset[str]:
+        return frozenset(p for q in subset for p in self.successors(q, a))
+
+    def _subsets(self) -> tuple[list[frozenset[str]], list[str], dict[tuple[str, str], str]]:
+        """Reachable subsets in discovery order, their names, and the named
+        transitions between them."""
+        found = _explore(frozenset({self.initial}), self._step, self.alphabet)
+        names = [subset_name(s) for s in found.order]
+        return found.order, names, found.named_delta(names)
 
     def to_dfa(self) -> Dfa:
         """Reachable-only subset construction.
@@ -160,20 +227,6 @@ class Nfa:
         canonically, so the result is reproducible.  The empty subset, when
         reachable, becomes an explicit non-final sink.
         """
-        initial_subset = frozenset({self.initial})
-        order: list[frozenset[str]] = [initial_subset]
-        index: dict[frozenset[str], int] = {initial_subset: 0}
-        delta: dict[tuple[str, str], str] = {}
-        i = 0
-        while i < len(order):
-            subset = order[i]
-            for a in self.alphabet:
-                target = frozenset(p for q in subset for p in self.successors(q, a))
-                if target not in index:
-                    index[target] = len(order)
-                    order.append(target)
-                delta[(subset_name(subset), a)] = subset_name(target)
-            i += 1
-        names = [subset_name(s) for s in order]
-        finals = [subset_name(s) for s in order if s & self.finals]
-        return Dfa(names, self.alphabet, delta, subset_name(initial_subset), finals)
+        subsets, names, delta = self._subsets()
+        finals = [name for name, s in zip(names, subsets) if s & self.finals]
+        return Dfa(names, self.alphabet, delta, names[0], finals)

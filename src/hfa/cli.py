@@ -55,9 +55,18 @@ from .oracle import (
 __all__ = ["main", "build_parser"]
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise DocumentError(
+            [Diagnostic("SyntaxError", f"not valid UTF-8 ({exc.reason})", line)]
+        ) from None
+
+
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    result = parse_document(text)
+    result = parse_document(_read(path))
     for warning in result.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
     return result.automaton
@@ -235,8 +244,10 @@ def _cmd_equiv(args) -> int:
 def _cmd_validate(args) -> int:
     failed = False
     for path in args.files:
-        text = Path(path).read_text(encoding="utf-8")
-        diagnostics = validate_text(text)
+        try:
+            diagnostics = validate_text(_read(path))
+        except DocumentError as exc:
+            diagnostics = exc.diagnostics
         for d in diagnostics:
             print(f"{path}: {d.severity}: {d}", file=sys.stderr)
         if any(d.severity == "error" for d in diagnostics):

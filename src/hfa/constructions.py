@@ -2,21 +2,28 @@
 level decomposition and recomposition, crisp embedding, crispification,
 determinization, intersection, and an exact equivalence decider.
 
-Several constructions rest on one backbone: the set of value vectors an
-Nthfa can reach is finite, and the step from one vector to the next is
-deterministic per symbol.  Saturating that step therefore yields a finite
-deterministic "vector automaton" that knows the exact value of every word,
-which is what range computation, level cuts, and the equivalence decider
-need.
+General machines rest on one backbone: the set of value vectors an Nthfa
+can reach is finite, and the step from one vector to the next is
+deterministic per symbol.  Saturating that step yields the vector
+automaton, a crisp, deterministic and total machine whose states are the
+reachable vectors and whose final values are their machine values, so it
+computes exactly the input's language.  Range computation, level cuts,
+crispification of general machines and the equivalence decider all read
+from it.  It is the forward weighted determinization of Mohri ("Weighted
+automata algorithms", 2009), which is valid here only left to right,
+because distributivity and inf-monotonicity fail on multi-valued elements.
+
+decompose and recompose remain as the paper's construction of a machine
+from its level cuts; crispification and equivalence do not pass through
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .classic import Nfa, subset_name
+from .classic import Nfa, _explore, _Exploration, _pair_name
 from .errors import AlphabetMismatch, ClosureBudgetExceeded
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
@@ -26,7 +33,6 @@ __all__ = [
     "EquivalenceVerdict",
     "LevelDecomposition",
     "union_nthfa",
-    "h_union_pointwise",
     "reachable_vectors",
     "compute_range",
     "level_automaton",
@@ -38,8 +44,6 @@ __all__ = [
     "determinize_cnthfa",
     "intersect_cdthfa",
     "equivalent",
-    "constant_automaton",
-    "hyperbolic_language_eval",
 ]
 
 DEFAULT_MAX_VECTORS = 100_000
@@ -115,73 +119,49 @@ def union_nthfa(m1: Nthfa, m2: Nthfa) -> Nthfa:
     return Nthfa(states, m1.alphabet, psi, fresh, final)
 
 
-def h_union_pointwise(
-    f1_eval: Callable[[Sequence[str]], Thfe],
-    f2_eval: Callable[[Sequence[str]], Thfe],
-    w: Sequence[str],
-) -> Thfe:
-    """Pointwise join of two language evaluators; the union oracle."""
-    return sup_combination(f1_eval(w), f2_eval(w))
-
-
-def _saturate(
-    m: Nthfa, max_vectors: int | None
-) -> tuple[list[tuple[Thfe, ...]], dict[tuple[int, str], int], list[Thfe]]:
-    """Breadth-first saturation of the reachable value vectors.
-
-    Returns the vectors in discovery order (index 0 is the empty-word
-    vector), the per-symbol successor map on vector indices, and the machine
-    value of each vector.  Discovery order is fixed by state and alphabet
-    order, so every construction built on top is deterministic.
-    """
+def _saturate(m: Nthfa, max_vectors: int | None) -> _Exploration:
+    """Breadth-first saturation of the reachable value vectors, each a tuple
+    in state order; index 0 is the empty-word vector."""
     budget = DEFAULT_MAX_VECTORS if max_vectors is None else max_vectors
+
+    def step(vector: tuple[Thfe, ...], a: str) -> tuple[Thfe, ...]:
+        stepped = m.advance(dict(zip(m.states, vector)), a)
+        return tuple(stepped[q] for q in m.states)
+
     start = tuple(ONE if q == m.initial else ZERO for q in m.states)
-    order: list[tuple[Thfe, ...]] = [start]
-    index: dict[tuple[Thfe, ...], int] = {start: 0}
-    delta: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(order):
-        vector = dict(zip(m.states, order[i]))
-        for a in m.alphabet:
-            stepped = m.advance(vector, a)
-            successor = tuple(stepped[q] for q in m.states)
-            if successor not in index:
-                if len(order) >= budget:
-                    raise ClosureBudgetExceeded(
-                        f"more than {budget} reachable value vectors"
-                    )
-                index[successor] = len(order)
-                order.append(successor)
-            delta[(i, a)] = index[successor]
-        i += 1
-    values = [m.value_of(dict(zip(m.states, vec))) for vec in order]
-    return order, delta, values
+    try:
+        return _explore(start, step, m.alphabet, budget)
+    except ClosureBudgetExceeded:
+        raise ClosureBudgetExceeded(f"more than {budget} reachable value vectors") from None
+
+
+def _vector_automaton(m: Nthfa, max_vectors: int | None) -> Cdthfa:
+    """The vector automaton of ``m``: states v0, v1, ... are the reachable
+    value vectors in discovery order, and each final value is the machine
+    value of its vector, so every word evaluates exactly as under ``m``."""
+    found = _saturate(m, max_vectors)
+    names = [f"v{i}" for i in range(len(found.order))]
+    final = {
+        name: m.value_of(dict(zip(m.states, vector)))
+        for name, vector in zip(names, found.order)
+    }
+    return Cdthfa(names, m.alphabet, found.named_delta(names), names[0], final)
 
 
 def reachable_vectors(
     m: Nthfa, max_vectors: int | None = None
 ) -> list[dict[str, Thfe]]:
     """All value vectors the machine can reach, in discovery order."""
-    order, _, _ = _saturate(m, max_vectors)
-    return [dict(zip(m.states, vec)) for vec in order]
+    return [dict(zip(m.states, vec)) for vec in _saturate(m, max_vectors).order]
 
 
 def compute_range(m: Nthfa, max_vectors: int | None = None) -> frozenset[Thfe]:
     """The exact set of values the language attains over all words."""
-    _, _, values = _saturate(m, max_vectors)
-    return frozenset(values)
+    return frozenset(_vector_automaton(m, max_vectors).final_map.values())
 
 
-def _level_nfa(
-    alphabet: Sequence[str],
-    delta: dict[tuple[int, str], int],
-    values: list[Thfe],
-    key: Thfe,
-) -> Nfa:
-    states = [f"v{i}" for i in range(len(values))]
-    nfa_delta = {(f"v{i}", a): {f"v{j}"} for (i, a), j in delta.items()}
-    finals = [f"v{i}" for i, value in enumerate(values) if leq(key, value)]
-    return Nfa(states, alphabet, nfa_delta, "v0", finals)
+def _level_nfa(d: Cdthfa, key: Thfe) -> Nfa:
+    return d.as_cnthfa().as_nfa(q for q in d.states if leq(key, d.final_map[q]))
 
 
 def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
@@ -195,17 +175,14 @@ def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
     may dominate ``k`` although no single path does.  Tracking exact vectors
     sidesteps that entirely.
     """
-    _, delta, values = _saturate(m, max_vectors)
-    return _level_nfa(m.alphabet, delta, values, k)
+    return _level_nfa(_vector_automaton(m, max_vectors), k)
 
 
 def decompose(m: Nthfa, max_vectors: int | None = None) -> LevelDecomposition:
     """One level automaton per range value, keys sorted ascending."""
-    _, delta, values = _saturate(m, max_vectors)
-    keys = sorted(set(values), key=lambda t: t.degrees)
-    return LevelDecomposition(
-        m.alphabet, ((k, _level_nfa(m.alphabet, delta, values, k)) for k in keys)
-    )
+    d = _vector_automaton(m, max_vectors)
+    keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
+    return LevelDecomposition(m.alphabet, ((k, _level_nfa(d, k)) for k in keys))
 
 
 def eval_decomposition(l: LevelDecomposition, w: Sequence[str]) -> Thfe:
@@ -244,16 +221,10 @@ def embed_cnthfa(n: Cnthfa) -> Nthfa:
     return Nthfa(n.states, n.alphabet, psi, n.initial, n.final_map)
 
 
-def _fresh_sink_name(taken: Iterable[str]) -> str:
-    taken = set(taken)
-    name = "q_aleph"
-    while name in taken:
-        name += "_"
-    return name
-
-
-def _crispify_zero_one(m: Nthfa, metadata: dict | None = None) -> Cnthfa:
-    sink = _fresh_sink_name(m.states)
+def _crispify_zero_one(m: Nthfa) -> Cnthfa:
+    sink = "q_aleph"
+    while sink in m.states:
+        sink += "_"
     states = list(m.states) + [sink]
     delta: dict[tuple[str, str], set[str]] = {}
     for q in m.states:
@@ -267,7 +238,7 @@ def _crispify_zero_one(m: Nthfa, metadata: dict | None = None) -> Cnthfa:
         delta[(sink, a)] = {sink}
     final = dict(m.final_map)
     final[sink] = ZERO
-    return Cnthfa(states, m.alphabet, delta, m.initial, final, metadata)
+    return Cnthfa(states, m.alphabet, delta, m.initial, final)
 
 
 def crispify_nthfa(m: Nthfa, max_vectors: int | None = None) -> Cnthfa:
@@ -277,13 +248,15 @@ def crispify_nthfa(m: Nthfa, max_vectors: int | None = None) -> Cnthfa:
     Machines whose weights are already all {0} or {1} convert directly: the
     {1}-transitions become crisp edges and a fresh absorbing sink with final
     value {0} picks up every {0} case, adding exactly one state.  General
-    machines are first normalized to that form via decompose/recompose; the
-    result's metadata records that the normalization happened.
+    machines become their vector automaton, which is crisp, deterministic
+    and total (every target set is a singleton); the result's metadata
+    records that this normalization happened.
     """
     if m.is_zero_one():
         return _crispify_zero_one(m)
-    normalized = recompose(decompose(m, max_vectors))
-    return _crispify_zero_one(normalized, metadata={"normalized": True})
+    crisp = _vector_automaton(m, max_vectors).as_cnthfa()
+    crisp.metadata = {"normalized": True}
+    return crisp
 
 
 def determinize_cnthfa(n: Cnthfa) -> Cdthfa:
@@ -293,57 +266,30 @@ def determinize_cnthfa(n: Cnthfa) -> Cdthfa:
     value is the join of its members' final values, and the empty subset
     (reachable when the crisp transition map is partial) gets {0}.
     """
-    initial_subset = frozenset({n.initial})
-    order: list[frozenset[str]] = [initial_subset]
-    index: dict[frozenset[str], int] = {initial_subset: 0}
-    delta: dict[tuple[str, str], str] = {}
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        for a in n.alphabet:
-            target = frozenset(p for q in subset for p in n.delta.get((q, a), ()))
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            delta[(subset_name(subset), a)] = subset_name(target)
-        i += 1
-    names = [subset_name(s) for s in order]
+    subsets, names, delta = n.as_nfa()._subsets()
     final = {
-        subset_name(s): sup_combination_n(n.final_map[q] for q in n.states if q in s)
-        for s in order
+        name: sup_combination_n(n.final_map[q] for q in n.states if q in s)
+        for name, s in zip(names, subsets)
     }
-    return Cdthfa(names, n.alphabet, delta, subset_name(initial_subset), final)
+    return Cdthfa(names, n.alphabet, delta, names[0], final)
+
+
+def _pair_step(d1: Cdthfa, d2: Cdthfa) -> Callable[[tuple[str, str], str], tuple[str, str]]:
+    """Synchronized step of two Cdthfa on pairs of their states."""
+    return lambda pair, a: (d1.delta[(pair[0], a)], d2.delta[(pair[1], a)])
 
 
 def intersect_cdthfa(d1: Cdthfa, d2: Cdthfa) -> Cdthfa:
     """Product automaton computing the pointwise inf-combination of the two
     languages; only reachable state pairs are materialized."""
     _require_same_alphabet(d1, d2)
-    alphabet = d1.alphabet
-    start = (d1.initial, d2.initial)
-    order: list[tuple[str, str]] = [start]
-    index: dict[tuple[str, str], int] = {start: 0}
-    delta: dict[tuple[str, str], str] = {}
-
-    def name(pair: tuple[str, str]) -> str:
-        return f"({pair[0]},{pair[1]})"
-
-    i = 0
-    while i < len(order):
-        q, p = order[i]
-        for a in alphabet:
-            target = (d1.delta[(q, a)], d2.delta[(p, a)])
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            delta[(name((q, p)), a)] = name(target)
-        i += 1
-    names = [name(pair) for pair in order]
+    found = _explore((d1.initial, d2.initial), _pair_step(d1, d2), d1.alphabet)
+    names = [_pair_name(pair) for pair in found.order]
     final = {
-        name((q, p)): inf_combination(d1.final_map[q], d2.final_map[p])
-        for q, p in order
+        name: inf_combination(d1.final_map[q], d2.final_map[p])
+        for name, (q, p) in zip(names, found.order)
     }
-    return Cdthfa(names, alphabet, delta, name(start), final)
+    return Cdthfa(names, d1.alphabet, found.named_delta(names), names[0], final)
 
 
 def _to_cdthfa(a, max_vectors: int | None) -> Cdthfa:
@@ -352,54 +298,33 @@ def _to_cdthfa(a, max_vectors: int | None) -> Cdthfa:
     if isinstance(a, Cnthfa):
         return determinize_cnthfa(a)
     if isinstance(a, Nthfa):
-        return determinize_cnthfa(crispify_nthfa(a, max_vectors))
+        return _vector_automaton(a, max_vectors)
     raise TypeError(f"not a hesitant automaton: {type(a).__name__}")
 
 
 def equivalent(a, b, max_vectors: int | None = None) -> EquivalenceVerdict:
     """Decide whether two hesitant automata compute the same language.
 
-    Both inputs are brought to crisp-deterministic form, then the reachable
-    pairs of the synchronized product are explored breadth-first in alphabet
-    order.  The languages are equal iff every reachable pair carries equal
-    final values; the first violating pair found yields the counterexample,
-    which is therefore the earliest distinguishing word in length-then-
-    alphabet enumeration order.
+    Both inputs are brought to crisp-deterministic form: an Nthfa becomes
+    its vector automaton, a Cnthfa its subset construction.  Then the
+    reachable pairs of the synchronized product are explored breadth-first
+    in alphabet order.  The languages are equal iff every reachable pair
+    carries equal final values; the first violating pair found yields the
+    counterexample, which is therefore the earliest distinguishing word in
+    length-then-alphabet enumeration order.
     """
     _require_same_alphabet(a, b)
-    alphabet = a.alphabet
     d1 = _to_cdthfa(a, max_vectors)
     d2 = _to_cdthfa(b, max_vectors)
-    start = (d1.initial, d2.initial)
-    if d1.final_map[start[0]] != d2.final_map[start[1]]:
-        return EquivalenceVerdict(equivalent=False, counterexample=())
-    seen = {start}
-    queue: list[tuple[tuple[str, str], tuple[str, ...]]] = [(start, ())]
-    i = 0
-    while i < len(queue):
-        (q, p), word = queue[i]
-        i += 1
-        for a_sym in alphabet:
-            target = (d1.delta[(q, a_sym)], d2.delta[(p, a_sym)])
-            if target in seen:
-                continue
-            seen.add(target)
-            extended = word + (a_sym,)
-            if d1.final_map[target[0]] != d2.final_map[target[1]]:
-                return EquivalenceVerdict(equivalent=False, counterexample=extended)
-            queue.append((target, extended))
-    return EquivalenceVerdict(equivalent=True, counterexample=None)
-
-
-def constant_automaton(x: Thfe, alphabet: Sequence[str]) -> Nthfa:
-    """Two-state machine whose language is constantly ``x``: every transition
-    weight and every final value equals ``x``."""
-    states = ["q0", "q1"]
-    psi = {(q, a, p): x for q in states for a in alphabet for p in states}
-    return Nthfa(states, alphabet, psi, "q0", {q: x for q in states})
-
-
-def hyperbolic_language_eval(w: Sequence[str]) -> Thfe:
-    """Value {1/(2^i + 1) : 0 <= i <= |w|}; a language whose range grows with
-    the word length and therefore fits no finite-range machine."""
-    return Thfe(Fraction(1, 2**i + 1) for i in range(len(w) + 1))
+    found = _explore(
+        (d1.initial, d2.initial), _pair_step(d1, d2), a.alphabet,
+        stop=lambda pair: d1.final_map[pair[0]] != d2.final_map[pair[1]],
+    )
+    if found.stopped is None:
+        return EquivalenceVerdict(equivalent=True, counterexample=None)
+    word: list[str] = []
+    i = found.stopped
+    while found.parents[i] is not None:
+        i, symbol = found.parents[i]
+        word.append(symbol)
+    return EquivalenceVerdict(equivalent=False, counterexample=tuple(reversed(word)))

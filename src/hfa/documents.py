@@ -106,6 +106,9 @@ def _parse(text: str) -> tuple[Automaton | None, _Report]:
     except json.JSONDecodeError as exc:
         report.error("SyntaxError", exc.msg, line=exc.lineno)
         return None, report
+    except RecursionError:
+        report.error("SyntaxError", "nesting is too deep to parse")
+        return None, report
     if not isinstance(raw, dict):
         report.error("InvalidDocument", "top-level value must be an object")
         return None, report

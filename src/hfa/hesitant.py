@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .classic import Nfa, check_alphabet, check_states
-from .errors import IncompleteTransition, UnknownState, UnknownSymbol
+from .classic import Dfa, Nfa, check_alphabet, check_states
+from .errors import UnknownState, UnknownSymbol
 from .hfe import ONE, ZERO, Thfe, inf_combination, sup_combination_n
 
 __all__ = ["Nthfa", "Cnthfa", "Cdthfa"]
@@ -25,6 +25,17 @@ StateValueVector = dict[str, Thfe]
 
 def _as_thfe(value: Thfe | Iterable) -> Thfe:
     return value if isinstance(value, Thfe) else Thfe(value)
+
+
+def _total_final_map(
+    states: Sequence[str], final_map: Mapping[str, Thfe | Iterable]
+) -> dict[str, Thfe]:
+    """The final map over every state, {0} where ``final_map`` is silent."""
+    declared = set(states)
+    for q in final_map:
+        if q not in declared:
+            raise UnknownState(f"final map mentions unknown state {q!r}")
+    return {q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in states}
 
 
 class Nthfa:
@@ -57,12 +68,7 @@ class Nthfa:
             value = _as_thfe(raw)
             if value != ZERO:
                 self.psi[(q, a, p)] = value
-        for q in final_map:
-            if q not in self._state_set:
-                raise UnknownState(f"final map mentions unknown state {q!r}")
-        self.final_map: dict[str, Thfe] = {
-            q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in self.states
-        }
+        self.final_map = _total_final_map(self.states, final_map)
         self.metadata = dict(metadata) if metadata else {}
 
     def psi_value(self, q: str, a: str, p: str) -> Thfe:
@@ -122,41 +128,44 @@ class Nthfa:
         return self.value_of(vector)
 
 
-class Cnthfa:
-    """Crisp-nondeterministic hesitant automaton: classical transition sets,
-    THFE-valued final map.  The transition map may be partial; a word whose
-    run reaches the empty state set evaluates to {0} (the empty join)."""
+class _Crisp:
+    """Shared by the crisp kinds: the transitions form a classical automaton,
+    which checks their structure, and a total final map assigns each state
+    a THFE."""
+
+    _classical: type[Nfa] | type[Dfa]
 
     def __init__(
         self,
         states: Sequence[str],
         alphabet: Sequence[str],
-        delta: Mapping[tuple[str, str], Iterable[str]],
+        delta: Mapping[tuple[str, str], Iterable[str] | str],
         initial: str,
         final_map: Mapping[str, Thfe | Iterable],
         metadata: Mapping[str, object] | None = None,
     ):
-        # Delegate structural checks to the crisp NFA the transitions form.
-        self._nfa = Nfa(states, alphabet, delta, initial, finals=())
-        self.states = self._nfa.states
-        self.alphabet = self._nfa.alphabet
-        self.delta = self._nfa.delta
+        self._machine = self._classical(states, alphabet, delta, initial, finals=())
+        self.states = self._machine.states
+        self.alphabet = self._machine.alphabet
+        self.delta = self._machine.delta
         self.initial = initial
-        self._state_set = frozenset(self.states)
-        for q in final_map:
-            if q not in self._state_set:
-                raise UnknownState(f"final map mentions unknown state {q!r}")
-        self.final_map: dict[str, Thfe] = {
-            q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in self.states
-        }
+        self.final_map = _total_final_map(self.states, final_map)
         self.metadata = dict(metadata) if metadata else {}
+
+
+class Cnthfa(_Crisp):
+    """Crisp-nondeterministic hesitant automaton: classical transition sets,
+    THFE-valued final map.  The transition map may be partial; a word whose
+    run reaches the empty state set evaluates to {0} (the empty join)."""
+
+    _classical = Nfa
 
     def as_nfa(self, finals: Iterable[str] = ()) -> Nfa:
         """The underlying crisp NFA, with the given final states."""
         return Nfa(self.states, self.alphabet, self.delta, self.initial, finals)
 
     def reachable(self, w: Sequence[str]) -> frozenset[str]:
-        return self._nfa.extended(self.initial, w)
+        return self._machine.extended(self.initial, w)
 
     def eval(self, w: Sequence[str]) -> Thfe:
         """Join of the final values over all states the crisp run reaches."""
@@ -164,50 +173,15 @@ class Cnthfa:
         return sup_combination_n(self.final_map[q] for q in self.states if q in reached)
 
 
-class Cdthfa:
+class Cdthfa(_Crisp):
     """Crisp-deterministic hesitant automaton: a total transition function,
     THFE-valued final map; a word's value is the final value of the unique
     state its run reaches."""
 
-    def __init__(
-        self,
-        states: Sequence[str],
-        alphabet: Sequence[str],
-        delta: Mapping[tuple[str, str], str],
-        initial: str,
-        final_map: Mapping[str, Thfe | Iterable],
-        metadata: Mapping[str, object] | None = None,
-    ):
-        self.alphabet = check_alphabet(alphabet)
-        self.states = check_states(states, initial)
-        self.initial = initial
-        self._state_set = frozenset(self.states)
-        self.delta = dict(delta)
-        for (q, a), p in self.delta.items():
-            if q not in self._state_set or p not in self._state_set:
-                raise UnknownState(f"transition ({q!r}, {a!r}) -> {p!r} uses an unknown state")
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"transition from {q!r} uses unknown symbol {a!r}")
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise IncompleteTransition(f"no transition for ({q!r}, {a!r})")
-        for q in final_map:
-            if q not in self._state_set:
-                raise UnknownState(f"final map mentions unknown state {q!r}")
-        self.final_map: dict[str, Thfe] = {
-            q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in self.states
-        }
-        self.metadata = dict(metadata) if metadata else {}
+    _classical = Dfa
 
     def extended(self, q: str, w: Sequence[str]) -> str:
-        if q not in self._state_set:
-            raise UnknownState(f"unknown state {q!r}")
-        for a in w:
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"unknown symbol {a!r}")
-            q = self.delta[(q, a)]
-        return q
+        return self._machine.extended(q, w)
 
     def eval(self, w: Sequence[str]) -> Thfe:
         return self.final_map[self.extended(self.initial, w)]

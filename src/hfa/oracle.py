@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .constructions import EquivalenceVerdict
-from .errors import AlphabetMismatch, WordTooLong
+from .constructions import EquivalenceVerdict, _require_same_alphabet
+from .errors import WordTooLong
 from .hfe import ONE, ZERO, Thfe, inf_combination, sup_combination_n
 from .hesitant import Nthfa
 
@@ -80,10 +80,7 @@ def languages_agree_up_to(a, b, max_length: int) -> EquivalenceVerdict:
     """Pointwise comparison of two hesitant automata over every word of
     length at most ``max_length``; the counterexample, if any, is the first
     mismatch in enumeration order."""
-    if set(a.alphabet) != set(b.alphabet):
-        raise AlphabetMismatch(
-            f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}"
-        )
+    _require_same_alphabet(a, b)
     for w in iter_words(a.alphabet, max_length):
         if a.eval(w) != b.eval(w):
             return EquivalenceVerdict(equivalent=False, counterexample=w)

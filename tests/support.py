@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from hfa import Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, reachable_vectors
+from hfa import Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, reachable_vectors, sup_combination
 from hfa.errors import ClosureBudgetExceeded
 
 # Small degree pool keeping THFE operations cheap and collisions likely.
@@ -172,3 +172,26 @@ def perturb_nthfa(rng: random.Random, m: Nthfa) -> Nthfa:
         else:
             psi[(q, a, p)] = value
     return Nthfa(m.states, m.alphabet, psi, m.initial, final)
+
+
+def h_union_pointwise(
+    f1_eval: Callable[[Sequence[str]], Thfe],
+    f2_eval: Callable[[Sequence[str]], Thfe],
+    w: Sequence[str],
+) -> Thfe:
+    """Pointwise join of two language evaluators; the union oracle."""
+    return sup_combination(f1_eval(w), f2_eval(w))
+
+
+def constant_automaton(x: Thfe, alphabet: Sequence[str]) -> Nthfa:
+    """Two-state machine whose language is constantly ``x``: every transition
+    weight and every final value equals ``x``."""
+    states = ["q0", "q1"]
+    psi = {(q, a, p): x for q in states for a in alphabet for p in states}
+    return Nthfa(states, alphabet, psi, "q0", {q: x for q in states})
+
+
+def hyperbolic_language_eval(w: Sequence[str]) -> Thfe:
+    """Value {1/(2^i + 1) : 0 <= i <= |w|}; a language whose range grows with
+    the word length and therefore fits no finite-range machine."""
+    return Thfe(Fraction(1, 2**i + 1) for i in range(len(w) + 1))

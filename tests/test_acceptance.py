@@ -35,7 +35,6 @@ from hfa import (
     embed_cnthfa,
     equivalent,
     crispify_nthfa,
-    hyperbolic_language_eval,
     inf_combination,
     intersect_cdthfa,
     leq,
@@ -56,6 +55,7 @@ from hfa.oracle import (
 from support import (
     TIGHT_POOL,
     farey_pool,
+    hyperbolic_language_eval,
     perturb_nthfa,
     random_cdthfa,
     random_cnthfa,

@@ -91,6 +91,9 @@ class TestSubsetConstruction:
     def test_subset_name_sorts_members(self):
         assert subset_name({"b", "a"}) == "{a,b}"
         assert subset_name(()) == "{}"
+        # Separators inside member names are escaped, keeping names injective.
+        assert subset_name({"a,b"}) == "{a\\,b}" != subset_name({"a", "b"})
+        assert subset_name({"a\\", "b"}) == "{a\\\\,b}"
 
     def test_to_dfa_structure(self):
         d = ends_in_ab_nfa().to_dfa()

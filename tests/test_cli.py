@@ -264,6 +264,73 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestInjectiveStateNames:
+    """State names containing the separators of constructed names."""
+
+    def write(self, tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_subset_names(self, capsys, tmp_path):
+        # {a,b} would name both the subset {"a,b"} and the subset {"a", "b"}.
+        path = self.write(tmp_path, "c.json", {
+            "kind": "cnthfa", "alphabet": ["x", "y"], "states": ["s", "a,b", "a", "b"],
+            "initial": "s",
+            "transitions": [{"from": "s", "symbol": "x", "to": ["a,b"]},
+                            {"from": "s", "symbol": "y", "to": ["a", "b"]}],
+            "final": {"a,b": ["1"], "a": ["1/2"]},
+        })
+        code, out, err = run(capsys, "determinize", path)
+        assert (code, err) == (0, "")
+        d = parse_document(out).automaton
+        assert d.states == ("{s}", "{a\\,b}", "{a,b}", "{}")
+        assert [str(d.eval(w)) for w in [(), ("x",), ("y",)]] == ["{0}", "{1}", "{1/2}"]
+        assert run(capsys, "equiv", path, path) == (0, "equivalent\n", "")
+
+    def test_pair_names(self, capsys, tmp_path):
+        # (a,b,c) would name both the pair ("a", "b,c") and the pair ("a,b", "c").
+        left = self.write(tmp_path, "l.json", {
+            "kind": "cdthfa", "alphabet": ["x"], "states": ["a", "a,b"], "initial": "a",
+            "transitions": [{"from": "a", "symbol": "x", "to": "a,b"},
+                            {"from": "a,b", "symbol": "x", "to": "a"}],
+            "final": {"a": ["1"]},
+        })
+        right = self.write(tmp_path, "r.json", {
+            "kind": "cdthfa", "alphabet": ["x"], "states": ["b,c", "c"], "initial": "b,c",
+            "transitions": [{"from": "b,c", "symbol": "x", "to": "c"},
+                            {"from": "c", "symbol": "x", "to": "b,c"}],
+            "final": {"b,c": ["1/2"]},
+        })
+        code, out, err = run(capsys, "intersect", left, right)
+        assert (code, err) == (0, "")
+        p = parse_document(out).automaton
+        assert p.states == ("(a,b\\,c)", "(a\\,b,c)")
+        assert [str(p.eval(w)) for w in [(), ("x",)]] == ["{1/2}", "{0}"]
+
+
+class TestUnreadableDocuments:
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "nthfa", "states": ["\xe9"]}')
+        code, out, err = run(capsys, "eval", str(path), "a")
+        assert (code, out) == (2, "")
+        assert err == "error: SyntaxError (line 1): not valid UTF-8 (invalid continuation byte)\n"
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}: error: SyntaxError (line 1): not valid UTF-8 (invalid continuation byte)\n"
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "a")
+        assert (code, out) == (2, "")
+        assert err == "error: SyntaxError: nesting is too deep to parse\n"
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}: error: SyntaxError: nesting is too deep to parse\n"
+
+
 class TestDeterminism:
     COMMANDS = [
         ("eval", "m1.json", "a"),

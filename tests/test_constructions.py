@@ -15,7 +15,6 @@ from hfa import (
     Thfe,
     ZERO,
     compute_range,
-    constant_automaton,
     crispify_nthfa,
     decompose,
     determinize_cnthfa,
@@ -23,8 +22,6 @@ from hfa import (
     empirical_range,
     equivalent,
     eval_decomposition,
-    h_union_pointwise,
-    hyperbolic_language_eval,
     intersect_cdthfa,
     iter_words,
     languages_agree_up_to,
@@ -36,6 +33,9 @@ from hfa import (
 )
 
 from support import (
+    constant_automaton,
+    h_union_pointwise,
+    hyperbolic_language_eval,
     perturb_nthfa,
     random_cdthfa,
     random_cnthfa,
@@ -218,8 +218,14 @@ class TestCrispify:
                 continue
             c = crispify_nthfa(m)
             assert c.metadata == {"normalized": True}
+            # The general path yields the vector automaton: deterministic, total.
+            assert len(c.states) == len(reachable_vectors(m))
+            assert all(len(c.delta[(q, a)]) == 1 for q in c.states for a in c.alphabet)
+            # The paper's construction: level cuts, recomposed, then crispified.
+            via_levels = crispify_nthfa(recompose(decompose(m)))
             for w in iter_words(m.alphabet, 4):
                 assert c.eval(w) == m.eval(w)
+                assert via_levels.eval(w) == m.eval(w)
 
 
 class TestDeterminize:
@@ -320,14 +326,16 @@ class TestEquivalent:
         rng = random.Random(103)
         for _ in range(15):
             m = random_nthfa(rng, max_states=2, max_symbols=2)
-            other = perturb_nthfa(rng, m)
-            verdict = equivalent(m, other)
-            oracle = languages_agree_up_to(m, other, 6)
-            if verdict.equivalent or oracle.equivalent:
-                # A disagreement is only legitimate when the shortest
-                # distinguishing word is longer than the oracle's bound.
-                if verdict.equivalent != oracle.equivalent:
-                    assert not verdict.equivalent
+            for other in (perturb_nthfa(rng, m), union_nthfa(m, m)):
+                verdict = equivalent(m, other)
+                oracle = languages_agree_up_to(m, other, 6)
+                if not oracle.equivalent:
+                    # The oracle's first mismatch in enumeration order is the
+                    # earliest distinguishing word.
+                    assert verdict.counterexample == oracle.counterexample
+                elif not verdict.equivalent:
+                    # Only legitimate when the shortest distinguishing word
+                    # is longer than the oracle's bound.
                     assert len(verdict.counterexample) > 6
 
 

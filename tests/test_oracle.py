@@ -7,7 +7,6 @@ from hfa import (
     ONE,
     Thfe,
     ZERO,
-    constant_automaton,
     empirical_range,
     iter_words,
     languages_agree_up_to,
@@ -16,7 +15,7 @@ from hfa import (
 )
 from hfa.errors import WordTooLong
 
-from support import perturb_nthfa, random_nthfa
+from support import constant_automaton, perturb_nthfa, random_nthfa
 
 
 class TestIterWords:
