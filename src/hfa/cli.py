@@ -248,6 +248,10 @@ def _cmd_validate(args) -> int:
             diagnostics = validate_text(_read(path))
         except DocumentError as exc:
             diagnostics = exc.diagnostics
+        except OSError as exc:
+            print(f"{path}: error: {exc}", file=sys.stderr)
+            failed = True
+            continue
         for d in diagnostics:
             print(f"{path}: {d.severity}: {d}", file=sys.stderr)
         if any(d.severity == "error" for d in diagnostics):

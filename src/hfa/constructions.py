@@ -123,14 +123,8 @@ def _saturate(m: Nthfa, max_vectors: int | None) -> _Exploration:
     """Breadth-first saturation of the reachable value vectors, each a tuple
     in state order; index 0 is the empty-word vector."""
     budget = DEFAULT_MAX_VECTORS if max_vectors is None else max_vectors
-
-    def step(vector: tuple[Thfe, ...], a: str) -> tuple[Thfe, ...]:
-        stepped = m.advance(dict(zip(m.states, vector)), a)
-        return tuple(stepped[q] for q in m.states)
-
-    start = tuple(ONE if q == m.initial else ZERO for q in m.states)
     try:
-        return _explore(start, step, m.alphabet, budget)
+        return _explore(m._start, m._step, m.alphabet, budget)
     except ClosureBudgetExceeded:
         raise ClosureBudgetExceeded(f"more than {budget} reachable value vectors") from None
 
@@ -141,10 +135,7 @@ def _vector_automaton(m: Nthfa, max_vectors: int | None) -> Cdthfa:
     value of its vector, so every word evaluates exactly as under ``m``."""
     found = _saturate(m, max_vectors)
     names = [f"v{i}" for i in range(len(found.order))]
-    final = {
-        name: m.value_of(dict(zip(m.states, vector)))
-        for name, vector in zip(names, found.order)
-    }
+    final = {name: m._value(vector) for name, vector in zip(names, found.order)}
     return Cdthfa(names, m.alphabet, found.named_delta(names), names[0], final)
 
 

@@ -5,9 +5,12 @@ An Nthfa assigns every (state, symbol, state) triple a THFE weight; the
 weight of a word along a path combines transition weights with the
 inf-combination, and the machine value of a word joins all path weights with
 the sup-combination.  Evaluation runs as a single left-to-right fold over a
-per-state value vector, costing |Q|^2 THFE operations per symbol, instead of
-enumerating the exponentially many paths (the literal path recursion lives in
-the oracle module as the reference implementation).
+per-state value vector instead of enumerating the exponentially many paths
+(the literal path recursion lives in the oracle module as the reference
+implementation).  One step of the fold visits each transition labelled with
+the symbol once, through a per-symbol list of incoming transitions built at
+construction, so it costs one inf-combination per transition whose source
+entry is not {0} and one n-ary join per state.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .hfe import ONE, ZERO, Thfe, inf_combination, sup_combination_n
 __all__ = ["Nthfa", "Cnthfa", "Cdthfa"]
 
 StateValueVector = dict[str, Thfe]
+# The same vector as a tuple in state order, as the evaluation kernel uses it.
+_Vector = tuple[Thfe, ...]
 
 
 def _as_thfe(value: Thfe | Iterable) -> Thfe:
@@ -44,6 +49,8 @@ class Nthfa:
     The transition map is stored sparsely: triples whose value is {0} are
     dropped on construction, and lookups of absent triples return {0}.  The
     final map is total; states missing from the given mapping default to {0}.
+    The transition map is read once, at construction, into the evaluation
+    kernel's per-symbol tables of incoming transitions.
     """
 
     def __init__(
@@ -58,10 +65,12 @@ class Nthfa:
         self.alphabet = check_alphabet(alphabet)
         self.states = check_states(states, initial)
         self.initial = initial
-        self._state_set = frozenset(self.states)
+        # State name to position in ``states``, which is also the position
+        # in the kernel's vectors.
+        self._index = {q: i for i, q in enumerate(self.states)}
         self.psi: dict[tuple[str, str, str], Thfe] = {}
         for (q, a, p), raw in psi.items():
-            if q not in self._state_set or p not in self._state_set:
+            if q not in self._index or p not in self._index:
                 raise UnknownState(f"transition ({q!r}, {a!r}, {p!r}) uses an unknown state")
             if a not in self.alphabet:
                 raise UnknownSymbol(f"transition from {q!r} uses unknown symbol {a!r}")
@@ -70,10 +79,53 @@ class Nthfa:
                 self.psi[(q, a, p)] = value
         self.final_map = _total_final_map(self.states, final_map)
         self.metadata = dict(metadata) if metadata else {}
+        index = self._index
+        incoming: dict[str, list[list]] = {a: [[] for _ in self.states] for a in self.alphabet}
+        for (q, a, p), value in self.psi.items():
+            incoming[a][index[p]] += (index[q], value)
+        # Per symbol, per target state: source index and weight of each
+        # incoming transition, flattened into one tuple to keep it small.
+        self._incoming = {a: tuple(map(tuple, rows)) for a, rows in incoming.items()}
+        self._start = self._unit(self.initial)
+
+    def _unit(self, q: str) -> _Vector:
+        """The vector with {1} at ``q`` and {0} elsewhere."""
+        return tuple(ONE if p == q else ZERO for p in self.states)
+
+    def _step(self, vector: _Vector, a: str) -> _Vector:
+        """The evaluation kernel: the vector after reading ``a``.  Entry p
+        joins vector[q] (x) psi(q, a, p) over the a-transitions into p;
+        entries that are the {0} constant are skipped, since their terms are
+        {0} and {0} never changes a join."""
+        try:
+            incoming = self._incoming[a]
+        except KeyError:
+            raise UnknownSymbol(f"unknown symbol {a!r}") from None
+        out = []
+        for row in incoming:
+            pairs = iter(row)
+            out.append(sup_combination_n([
+                inf_combination(vector[q], w)
+                for q, w in zip(pairs, pairs)
+                if vector[q] is not ZERO
+            ]))
+        return tuple(out)
+
+    def _value(self, vector: _Vector) -> Thfe:
+        """Join of every entry combined with its state's final value (the
+        final map is built in state order)."""
+        return sup_combination_n([
+            inf_combination(v, f)
+            for v, f in zip(vector, self.final_map.values())
+            if v is not ZERO
+        ])
+
+    def _as_tuple(self, vector: StateValueVector) -> _Vector:
+        return tuple(vector[q] for q in self.states)
 
     def psi_value(self, q: str, a: str, p: str) -> Thfe:
         """Transition weight of the triple; absent triples weigh {0}."""
-        if q not in self._state_set or p not in self._state_set:
+        if q not in self._index or p not in self._index:
             raise UnknownState(f"unknown state in ({q!r}, {a!r}, {p!r})")
         if a not in self.alphabet:
             raise UnknownSymbol(f"unknown symbol {a!r}")
@@ -87,45 +139,33 @@ class Nthfa:
         """The start-of-word vector: {1} at ``q`` (default initial), {0} elsewhere."""
         if q is None:
             q = self.initial
-        elif q not in self._state_set:
+        elif q not in self._index:
             raise UnknownState(f"unknown state {q!r}")
-        return {p: (ONE if p == q else ZERO) for p in self.states}
+        return dict(zip(self.states, self._unit(q)))
 
     def advance(self, vector: StateValueVector, a: str) -> StateValueVector:
         """One evaluation step: push the vector across all ``a``-transitions."""
-        if a not in self.alphabet:
-            raise UnknownSymbol(f"unknown symbol {a!r}")
-        result: StateValueVector = {}
-        for p in self.states:
-            terms = []
-            for q in self.states:
-                weight = self.psi.get((q, a, p))
-                if weight is not None and vector[q] != ZERO:
-                    terms.append(inf_combination(vector[q], weight))
-            result[p] = sup_combination_n(terms)
-        return result
+        return dict(zip(self.states, self._step(self._as_tuple(vector), a)))
 
     def value_of(self, vector: StateValueVector) -> Thfe:
         """Join every state's vector entry combined with its final value."""
-        return sup_combination_n(
-            inf_combination(vector[q], self.final_map[q]) for q in self.states
-        )
+        return self._value(self._as_tuple(vector))
 
     def psi_hat(self, q: str, w: Sequence[str], p: str) -> Thfe:
         """Weight of reading ``w`` from ``q`` to ``p``, over all paths."""
-        if p not in self._state_set:
+        if p not in self._index:
             raise UnknownState(f"unknown state {p!r}")
-        vector = self.initial_vector(q)
+        vector = self._as_tuple(self.initial_vector(q))
         for a in w:
-            vector = self.advance(vector, a)
-        return vector[p]
+            vector = self._step(vector, a)
+        return vector[self._index[p]]
 
     def eval(self, w: Sequence[str]) -> Thfe:
         """The THFE value the machine assigns to ``w``."""
-        vector = self.initial_vector()
+        vector = self._start
         for a in w:
-            vector = self.advance(vector, a)
-        return self.value_of(vector)
+            vector = self._step(vector, a)
+        return self._value(vector)
 
 
 class _Crisp:

@@ -7,11 +7,20 @@ equality coincides with set equality.  Two combination operations act on
 THFEs: the inf-combination (pairwise minimum) and the sup-combination
 (pairwise maximum).  The partial order ``leq`` is derived from the
 sup-combination: X is below Y exactly when joining X into Y changes nothing.
+
+No combination creates a degree its operands lack, so each one has a closed
+form that selects degrees from the operands instead of forming all pairwise
+results: the inf-combination keeps every degree up to the smaller of the
+two maxima, the sup-combination every degree from the larger of the two
+minima.  Both run as one merge of two sorted tuples, and their results are
+wrapped without re-parsing.  The literal pairwise definitions live in the
+oracle module, which the tests check these forms against.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -122,31 +131,102 @@ class Thfe:
         return "{" + ", ".join(format_degree(d) for d in self.degrees) + "}"
 
 
+def _trusted(degrees: tuple[Fraction, ...]) -> Thfe:
+    """Wrap a degree tuple that is already canonical (non-empty, ascending,
+    duplicate-free, within [0, 1]) without parsing it again.  The
+    combinations below call it on tuples selected from canonical operands,
+    and the oracle's pairwise operations on sorted sets of such degrees."""
+    x = object.__new__(Thfe)
+    object.__setattr__(x, "degrees", degrees)
+    return x
+
+
 ZERO = Thfe([0])
 ONE = Thfe([1])
 
 
+def _merge(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Ascending duplicate-free union of two ascending duplicate-free tuples."""
+    if not ys:
+        return xs
+    if not xs:
+        return ys
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        if x is y or x == y:
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    out.extend(xs[i:])
+    out.extend(ys[j:])
+    return tuple(out)
+
+
 def inf_combination(x: Thfe, y: Thfe) -> Thfe:
-    """Pairwise minimum of two THFEs: {min(a, b) for a in x, b in y}."""
-    return Thfe(min(a, b) for a in x for b in y)
+    """Pairwise minimum of two THFEs: {min(a, b) for a in x, b in y}.
+
+    In closed form, every degree of either operand up to the smaller of
+    the two maxima: {v in x | y : v <= min(max x, max y)}.
+    """
+    xs, ys = x.degrees, y.degrees
+    if ys[-1] < xs[-1]:
+        xs, ys = ys, xs
+    # All of xs lies at or below max xs = min(max x, max y).
+    return _trusted(_merge(xs, ys[: bisect_right(ys, xs[-1])]))
 
 
 def sup_combination(x: Thfe, y: Thfe) -> Thfe:
-    """Pairwise maximum of two THFEs: {max(a, b) for a in x, b in y}."""
-    return Thfe(max(a, b) for a in x for b in y)
+    """Pairwise maximum of two THFEs: {max(a, b) for a in x, b in y}.
+
+    In closed form, every degree of either operand from the larger of the
+    two minima up: {v in x | y : v >= max(min x, min y)}.
+    """
+    xs, ys = x.degrees, y.degrees
+    if xs[0] < ys[0]:
+        xs, ys = ys, xs
+    # All of xs lies at or above min xs = max(min x, min y).
+    return _trusted(_merge(xs, ys[bisect_left(ys, xs[0]):]))
 
 
 def sup_combination_n(family: Iterable[Thfe]) -> Thfe:
-    """Left fold of sup_combination; the empty family yields {0}, its identity."""
-    acc = ZERO
-    for x in family:
-        acc = sup_combination(acc, x)
-    return acc
+    """The sup-combination of a whole family, {0} (its identity) when empty.
+
+    In one pass: every degree of every member from the largest member
+    minimum up, {v in x1 | ... | xn : v >= max(min x1, ..., min xn)}.  This
+    equals the left fold of sup_combination from {0}.
+    """
+    members = list(family)
+    if not members:
+        return ZERO
+    if len(members) == 1:
+        return members[0]
+    floor = max(x.degrees[0] for x in members)
+    acc: tuple[Fraction, ...] = ()
+    for x in members:
+        xs = x.degrees
+        acc = _merge(acc, xs[bisect_left(xs, floor):])
+    return _trusted(acc)
 
 
 def leq(x: Thfe, y: Thfe) -> bool:
-    """The derived partial order: x is below y iff sup_combination(x, y) == y."""
-    return sup_combination(x, y) == y
+    """The derived partial order: x is below y iff sup_combination(x, y) == y.
+
+    In closed form: min x <= min y, and every degree of x from min y up is
+    a degree of y.
+    """
+    xs, ys = x.degrees, y.degrees
+    if ys[0] < xs[0]:
+        return False
+    return len(_merge(ys, xs[bisect_left(xs, ys[0]):])) == len(ys)
 
 
 def is_degenerate(x: Thfe) -> bool:

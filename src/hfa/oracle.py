@@ -1,24 +1,30 @@
 """Brute-force reference implementations.
 
-Everything here is deliberately naive: the path recursion is evaluated
-literally with no memoization, and language comparisons enumerate words
-exhaustively.  These are the ground truth the efficient vector-fold and
-product-reachability paths are certified against, so they must not share
-their algorithms.
+Everything here is deliberately naive: the element operations form every
+pairwise minimum or maximum, the n-ary join folds them from {0}, the path
+recursion is evaluated literally with no memoization, and language
+comparisons enumerate words exhaustively.  These are the ground truth the
+closed-form element operations, the vector fold and the product search are
+certified against, so they must not share their algorithms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from .constructions import EquivalenceVerdict, _require_same_alphabet
 from .errors import WordTooLong
-from .hfe import ONE, ZERO, Thfe, inf_combination, sup_combination_n
+from .hfe import ONE, ZERO, Thfe, _trusted
 from .hesitant import Nthfa
 
 __all__ = [
     "DEFAULT_RECURSION_BOUND",
+    "pairwise_inf",
+    "pairwise_sup",
+    "pairwise_sup_n",
+    "pairwise_leq",
     "iter_words",
     "reference_psi_hat",
     "reference_eval",
@@ -29,6 +35,44 @@ __all__ = [
 # The literal recursion costs |Q|^|w| THFE operations; six symbols keeps a
 # worst case of |Q| = 3 near 10^5 operations.
 DEFAULT_RECURSION_BOUND = 6
+
+
+def _keyed(x: Thfe) -> dict[tuple[int, int], Fraction]:
+    """The degrees of ``x`` keyed by reduced (numerator, denominator), so
+    that a/b <= c/d is decided by the integer comparison a*d <= c*b."""
+    return {(d.numerator, d.denominator): d for d in x.degrees}
+
+
+def _collect(chosen: set[tuple[int, int]], degrees: dict[tuple[int, int], Fraction]) -> Thfe:
+    # Every chosen degree comes from an already validated operand, so the
+    # sorted degrees form the canonical tuple; parsing them again would only
+    # repeat the range checks.
+    return _trusted(tuple(sorted(degrees[key] for key in chosen)))
+
+
+def pairwise_inf(x: Thfe, y: Thfe) -> Thfe:
+    """The inf-combination by definition: {min(a, b) for a in x, b in y}."""
+    xs, ys = _keyed(x), _keyed(y)
+    return _collect({a if a[0] * b[1] <= b[0] * a[1] else b for a in xs for b in ys}, xs | ys)
+
+
+def pairwise_sup(x: Thfe, y: Thfe) -> Thfe:
+    """The sup-combination by definition: {max(a, b) for a in x, b in y}."""
+    xs, ys = _keyed(x), _keyed(y)
+    return _collect({a if a[0] * b[1] >= b[0] * a[1] else b for a in xs for b in ys}, xs | ys)
+
+
+def pairwise_sup_n(family: Iterable[Thfe]) -> Thfe:
+    """Left fold of pairwise_sup from {0}, the identity of the join."""
+    acc = ZERO
+    for x in family:
+        acc = pairwise_sup(acc, x)
+    return acc
+
+
+def pairwise_leq(x: Thfe, y: Thfe) -> bool:
+    """The order by definition: joining x into y leaves y unchanged."""
+    return pairwise_sup(x, y) == y
 
 
 def iter_words(alphabet: Sequence[str], max_length: int) -> Iterator[tuple[str, ...]]:
@@ -51,8 +95,8 @@ def reference_psi_hat(
     if not w:
         return ONE if q == p else ZERO
     prefix, last = tuple(w[:-1]), w[-1]
-    return sup_combination_n(
-        inf_combination(
+    return pairwise_sup_n(
+        pairwise_inf(
             reference_psi_hat(m, q, prefix, mid, max_length), m.psi_value(mid, last, p)
         )
         for mid in m.states
@@ -63,8 +107,8 @@ def reference_eval(
     m: Nthfa, w: Sequence[str], max_length: int = DEFAULT_RECURSION_BOUND
 ) -> Thfe:
     """Machine value of ``w`` computed from the literal recursion."""
-    return sup_combination_n(
-        inf_combination(
+    return pairwise_sup_n(
+        pairwise_inf(
             reference_psi_hat(m, m.initial, w, q, max_length), m.final_map[q]
         )
         for q in m.states

@@ -19,9 +19,13 @@ test_hfe.py::TestKnownNonLaws.
 from __future__ import annotations
 
 import filecmp
+import io
+import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -466,3 +470,44 @@ def test_criterion_10_cli_determinism(capsys, fixtures_dir, tmp_path):
         "byte-identical command output across runs",
         f"{len(CLI_COMMANDS)} invocations plus {len(names)} written files",
     )
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden_cli.json"
+
+
+def cli_outputs(fixtures_dir: Path) -> list[dict]:
+    """Exit code, stdout and stderr of every CLI_COMMANDS entry, with the
+    fixture directory written as <fixtures>."""
+    outputs = []
+    for command in CLI_COMMANDS:
+        argv = [command[0]] + [
+            str(fixtures_dir / part) if part.endswith(".json") else part
+            for part in command[1:]
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(argv)
+        outputs.append({
+            "command": list(command),
+            "exit": code,
+            "stdout": out.getvalue().replace(str(fixtures_dir), "<fixtures>"),
+            "stderr": err.getvalue().replace(str(fixtures_dir), "<fixtures>"),
+        })
+    return outputs
+
+
+def test_cli_output_matches_golden(fixtures_dir):
+    """The acceptance commands print exactly what golden_cli.json records,
+    so a change meant to keep behaviour shows byte-identical output.  After
+    an intended output change, rewrite the file with
+    ``PYTHONPATH=src python tests/test_acceptance.py``."""
+    expected = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    actual = cli_outputs(fixtures_dir)
+    assert [o["command"] for o in actual] == [o["command"] for o in expected]
+    for got, want in zip(actual, expected):
+        assert got == want, f"output of {' '.join(want['command'])} changed"
+
+
+if __name__ == "__main__":
+    outputs = cli_outputs(Path(__file__).resolve().parent / "fixtures")
+    GOLDEN_CLI.write_text(json.dumps(outputs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

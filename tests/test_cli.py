@@ -226,6 +226,17 @@ class TestValidate:
         assert "SyntaxError" in err
         assert "IncompleteTransition" in err
 
+    def test_unreadable_path_is_reported_and_skipped(self, capsys, fixtures_dir, tmp_path):
+        missing = str(tmp_path / "nope.json")
+        code, out, err = run(capsys, "validate", fx(fixtures_dir, "m1.json"), missing,
+                             fx(fixtures_dir, "bad_number.json"))
+        assert code == 2
+        assert out == f"{fx(fixtures_dir, 'm1.json')}: ok\n"
+        lines = err.splitlines()
+        assert lines[0].startswith(f"{missing}: error: [Errno 2] ")
+        assert lines[1].startswith(f"{fx(fixtures_dir, 'bad_number.json')}: error: InvalidDocument")
+        assert len(lines) == 2
+
 
 class TestOracleCheck:
     def test_single_machine_matches_reference(self, capsys, fixtures_dir):

@@ -14,8 +14,9 @@ from hfa import (
     ZERO,
 )
 from hfa.errors import IncompleteTransition
+from hfa.oracle import pairwise_inf, pairwise_sup_n
 
-from support import random_cdthfa, random_cnthfa
+from support import farey_pool, random_cdthfa, random_cnthfa, random_nthfa, random_thfe
 
 F = Fraction
 
@@ -58,6 +59,66 @@ class TestNthfa:
         m = Nthfa(["q"], ["a"], {}, "q", {}, metadata)
         metadata["note"] = "changed"
         assert m.metadata == {"note": "x"}
+
+
+class TestEvaluationKernel:
+    """advance and value_of against a dense loop over every state pair,
+    written with the oracle's literal operations."""
+
+    # Degrees outside Farey(10), so that vectors carry degrees the machine
+    # has nowhere.
+    FOREIGN = (F(1, 11), F(4, 13), F(12, 17))
+
+    @staticmethod
+    def dense_advance(m, vector, a):
+        return {
+            p: pairwise_sup_n(
+                pairwise_inf(vector[q], m.psi_value(q, a, p)) for q in m.states
+            )
+            for p in m.states
+        }
+
+    @staticmethod
+    def dense_value(m, vector):
+        return pairwise_sup_n(pairwise_inf(vector[q], m.final_map[q]) for q in m.states)
+
+    @staticmethod
+    def random_vector(rng, m, pool):
+        # Thfe(["0"]) is equal to ZERO but another object.
+        return {
+            q: rng.choices([random_thfe(rng, pool), ZERO, Thfe(["0"])], weights=(6, 2, 1))[0]
+            for q in m.states
+        }
+
+    def test_advance_matches_dense_loop(self):
+        rng = random.Random(44)
+        farey = farey_pool(10)
+        pool = farey + self.FOREIGN
+        foreign_seen = 0
+        for _ in range(80):
+            m = random_nthfa(rng, max_states=4, max_symbols=2, pool=farey, density=0.5)
+            for _ in range(4):
+                vector = self.random_vector(rng, m, pool)
+                foreign_seen += any(d in self.FOREIGN for x in vector.values() for d in x)
+                for a in m.alphabet:
+                    assert m.advance(vector, a) == self.dense_advance(m, vector, a)
+                assert m.value_of(vector) == self.dense_value(m, vector)
+        assert foreign_seen > 50
+
+    def test_errors_and_messages(self, m1):
+        vector = m1.initial_vector()
+        cases = [
+            (lambda: m1.advance(vector, "z"), UnknownSymbol, "unknown symbol 'z'"),
+            (lambda: m1.eval(("a", "z")), UnknownSymbol, "unknown symbol 'z'"),
+            (lambda: m1.psi_hat("q0", ("z",), "q1"), UnknownSymbol, "unknown symbol 'z'"),
+            (lambda: m1.psi_hat("q0", (), "nope"), UnknownState, "unknown state 'nope'"),
+            (lambda: m1.psi_hat("nope", ("a",), "q0"), UnknownState, "unknown state 'nope'"),
+            (lambda: m1.initial_vector("nope"), UnknownState, "unknown state 'nope'"),
+        ]
+        for call, error, message in cases:
+            with pytest.raises(error) as caught:
+                call()
+            assert caught.value.args == (message,)
 
 
 class TestCnthfa:

@@ -21,6 +21,7 @@ from hfa import (
     sup_combination,
     sup_combination_n,
 )
+from hfa.oracle import pairwise_inf, pairwise_leq, pairwise_sup, pairwise_sup_n
 
 F = Fraction
 
@@ -172,6 +173,39 @@ class TestCombinations:
             sup_combination(sup_combination(ZERO, family[0]), family[1]), family[2]
         )
         assert sup_combination_n(family) == expected
+
+
+class TestClosedFormsMatchDefinitions:
+    """The closed forms against the literal pairwise operations of
+    hfa.oracle; every result must also be in canonical form, since the
+    closed forms wrap their degree tuples without re-parsing them."""
+
+    @given(thfes, thfes)
+    def test_inf_combination(self, x, y):
+        result = inf_combination(x, y)
+        assert result == pairwise_inf(x, y)
+        assert result == Thfe(result.degrees)
+
+    @given(thfes, thfes)
+    def test_sup_combination(self, x, y):
+        result = sup_combination(x, y)
+        assert result == pairwise_sup(x, y)
+        assert result == Thfe(result.degrees)
+
+    @given(st.lists(thfes, max_size=4))
+    def test_sup_combination_n(self, family):
+        result = sup_combination_n(family)
+        assert result == pairwise_sup_n(family)
+        assert result == Thfe(result.degrees)
+        assert sup_combination_n(iter(family)) == result
+
+    @given(thfes, thfes, st.booleans())
+    def test_leq(self, x, y, lift):
+        # Lifting y to a join above x makes the order hold often enough to
+        # exercise both answers.
+        if lift:
+            y = pairwise_sup(x, y)
+        assert leq(x, y) == pairwise_leq(x, y)
 
 
 class TestOrder:
