@@ -40,6 +40,7 @@ from .errors import ClosureBudgetExceeded, HfaError, UnknownSymbol
 from .documents import (
     Diagnostic,
     DocumentError,
+    kind_name,
     parse_document,
     serialize_automaton,
     validate_text,
@@ -72,21 +73,9 @@ def _load(path: str):
     return result.automaton
 
 
-_KIND_NAMES = {
-    Dfa: "dfa",
-    Nfa: "nfa",
-    Nthfa: "nthfa",
-    Cnthfa: "cnthfa",
-    Cdthfa: "cdthfa",
-    LevelDecomposition: "decomposition",
-}
-
-
 def _reject_kind(path: str, got, expected: str):
-    kind = _KIND_NAMES.get(type(got), type(got).__name__)
-    raise DocumentError(
-        [Diagnostic("InvalidDocument", f"{path}: expected {expected}, got kind {kind!r}")]
-    )
+    message = f"{path}: expected {expected}, got kind {kind_name(got)!r}"
+    raise DocumentError([Diagnostic("InvalidDocument", message)])
 
 
 def _as_nthfa(path: str, x) -> Nthfa:

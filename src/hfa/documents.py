@@ -7,6 +7,14 @@ sorted by declaration order of states and symbols, final entries in state
 order with {0} entries omitted.  Parsing a canonical document and serializing
 the result is byte-identical.
 
+One table, _KINDS, says what the document of each automaton kind holds: one
+target or a target list per transition, a THFE weight or none, and a final
+map of THFEs with metadata (the hesitant kinds) or a list of accepting
+states.  One parser and one serializer read it for every kind, the nfa levels
+of a decomposition included.  Fields are checked in one order for every
+kind: header, transitions, final, metadata.  A broken header ends the check;
+every later field is checked even when an earlier one failed.
+
 Parsing reports problems as Diagnostic values.  parse_document raises
 DocumentError when any error-level diagnostic occurs and otherwise returns
 the automaton together with the warnings (non-canonical spellings that were
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classic import WORD_SEPARATOR, Dfa, Nfa
 from .constructions import LevelDecomposition
@@ -34,14 +42,37 @@ __all__ = [
     "parse_document",
     "validate_text",
     "serialize_automaton",
+    "kind_name",
 ]
-
-KINDS = ("dfa", "nfa", "nthfa", "cnthfa", "cdthfa", "decomposition")
 
 # Reserved for completing partial DFA documents with a dead state.
 DFA_SINK_NAME = "__sink"
 
 Automaton = Dfa | Nfa | Nthfa | Cnthfa | Cdthfa | LevelDecomposition
+
+
+class _Kind(NamedTuple):
+    """What a document of one automaton kind holds."""
+
+    name: str
+    cls: type
+    multi_target: bool  # a transition's "to" is a list of states, not one state
+    weighted: bool  # a transition carries a THFE "value"
+    hesitant: bool  # "final" maps states to THFEs and "metadata" is allowed
+
+
+# The only place that knows which automaton kinds exist.
+_KINDS = {
+    kind.name: kind
+    for kind in (
+        _Kind("dfa", Dfa, multi_target=False, weighted=False, hesitant=False),
+        _Kind("nfa", Nfa, multi_target=True, weighted=False, hesitant=False),
+        _Kind("nthfa", Nthfa, multi_target=False, weighted=True, hesitant=True),
+        _Kind("cnthfa", Cnthfa, multi_target=True, weighted=False, hesitant=True),
+        _Kind("cdthfa", Cdthfa, multi_target=False, weighted=False, hesitant=True),
+    )
+}
+KINDS = (*_KINDS, "decomposition")
 
 
 @dataclass(frozen=True)
@@ -119,7 +150,10 @@ def _parse(text: str) -> tuple[Automaton | None, _Report]:
             f"field 'kind' must be one of {', '.join(KINDS)}, got {kind!r}",
         )
         return None, report
-    automaton = _PARSERS[kind](raw, report)
+    if kind == "decomposition":
+        automaton = _parse_decomposition(raw, report)
+    else:
+        automaton = _parse_automaton(_KINDS[kind], raw, report)
     return (None, report) if report.errors else (automaton, report)
 
 
@@ -203,11 +237,8 @@ def _parse_thfe(value, where: str, report: _Report) -> Thfe | None:
             continue
         try:
             degrees.append(parse_degree(item))
-        except DegreeOutOfRange as exc:
-            report.error("DegreeOutOfRange", f"{where}: {exc}")
-            ok = False
-        except InvalidDegree as exc:
-            report.error("InvalidDegree", f"{where}: {exc}")
+        except (DegreeOutOfRange, InvalidDegree) as exc:
+            report.error(type(exc).__name__, f"{where}: {exc}")
             ok = False
     if not ok:
         return None
@@ -247,49 +278,35 @@ def _transition_rows(
     return usable
 
 
-def _check_endpoint(
-    row: dict, key: str, states: list[str], where: str, report: _Report
+def _check_name(
+    row: dict, key: str, declared: list[str], where: str, report: _Report
 ) -> str | None:
+    """The row field ``key``: a declared symbol if it is "symbol", else a state."""
     name = row[key]
     if not isinstance(name, str):
         report.error("InvalidDocument", f"{where}: field {key!r} must be a string")
         return None
-    if name not in states:
-        report.error("UnknownState", f"{where}: state {name!r} is not declared")
+    if name not in declared:
+        code, noun = ("UnknownSymbol", "symbol") if key == "symbol" else ("UnknownState", "state")
+        report.error(code, f"{where}: {noun} {name!r} is not declared")
         return None
     return name
 
 
-def _check_symbol(
-    row: dict, alphabet: list[str], where: str, report: _Report
-) -> str | None:
-    symbol = row["symbol"]
-    if not isinstance(symbol, str):
-        report.error("InvalidDocument", f"{where}: field 'symbol' must be a string")
-        return None
-    if symbol not in alphabet:
-        report.error("UnknownSymbol", f"{where}: symbol {symbol!r} is not declared")
-        return None
-    return symbol
-
-
 def _parse_final_list(
     raw: dict, states: list[str], report: _Report
-) -> list[str] | None:
+) -> set[str] | None:
     finals = _string_list(raw, "final", report)
     if finals is None:
         return None
     seen: set[str] = set()
-    result = []
     for name in finals:
         if name not in states:
             report.error("UnknownState", f"final state {name!r} is not declared")
         elif name in seen:
             report.warn("CanonicalizedValue", f"duplicate final state {name!r} merged")
-        else:
-            seen.add(name)
-            result.append(name)
-    return None if report.errors else result
+        seen.add(name)
+    return seen
 
 
 def _parse_final_map(
@@ -313,7 +330,7 @@ def _parse_final_map(
                 f"final[{name!r}]: explicit {{0}} entries are omitted when serializing",
             )
         result[name] = thfe
-    return None if report.errors else result
+    return result
 
 
 def _build(factory: Callable[[], Automaton], report: _Report) -> Automaton | None:
@@ -330,88 +347,125 @@ def _build(factory: Callable[[], Automaton], report: _Report) -> Automaton | Non
 _HEADER_FIELDS = ("kind", "alphabet", "states", "initial", "transitions", "final")
 
 
-def _parse_single_target_delta(
-    raw: dict, alphabet: list[str], states: list[str], report: _Report
-) -> dict[tuple[str, str], str] | None:
-    rows = _transition_rows(raw, ("from", "symbol", "to"), report)
+def _parse_automaton(kind: _Kind, raw: dict, report: _Report) -> Automaton | None:
+    """Parse a document of one automaton kind, its fields in the one order."""
+    known = _HEADER_FIELDS + ("metadata",) if kind.hesitant else _HEADER_FIELDS
+    _warn_unknown_fields(raw, known, report)
+    header = _check_header(raw, report)
+    if header is None:
+        return None
+    alphabet, states, initial = header
+    delta = _parse_transitions(kind, raw, alphabet, states, report)
+    parse_final = _parse_final_map if kind.hesitant else _parse_final_list
+    finals = parse_final(raw, states, report)
+    # The hesitant classes take the metadata as one more argument.
+    extra = (_parse_metadata(raw, report),) if kind.hesitant else ()
+    if report.errors:
+        return None
+    if not kind.multi_target and not kind.weighted:
+        states = _complete_delta(kind, delta, alphabet, states, report)
+    if report.errors:
+        return None
+    return _build(
+        lambda: kind.cls(states, alphabet, delta, initial, finals, *extra), report
+    )
+
+
+def _parse_transitions(
+    kind: _Kind, raw: dict, alphabet: list[str], states: list[str], report: _Report
+) -> dict | None:
+    """The transition map of a ``kind`` document: (from, symbol) to a target
+    or a target list, or, for weighted kinds, (from, symbol, to) to a THFE."""
+    keys = ("from", "symbol", "to", "value") if kind.weighted else ("from", "symbol", "to")
+    rows = _transition_rows(raw, keys, report)
     if rows is None:
         return None
-    delta: dict[tuple[str, str], str] = {}
+    delta: dict = {}
     for i, row in enumerate(rows):
         where = f"transition {i}"
-        source = _check_endpoint(row, "from", states, where, report)
-        symbol = _check_symbol(row, alphabet, where, report)
-        target = _check_endpoint(row, "to", states, where, report)
-        if source is None or symbol is None or target is None:
+        source = _check_name(row, "from", states, where, report)
+        symbol = _check_name(row, "symbol", alphabet, where, report)
+        if kind.multi_target:
+            target = _check_target_list(row, where, report)
+        else:
+            target = _check_name(row, "to", states, where, report)
+        # What the map stores: the weight, or else the target itself.
+        value = _parse_thfe(row["value"], where, report) if kind.weighted else target
+        if source is None or symbol is None or target is None or value is None:
             continue
-        if (source, symbol) in delta:
-            report.error(
-                "DuplicateTransition",
-                f"{where}: second transition for ({source!r}, {symbol!r})",
-            )
+        if kind.multi_target and _undeclared_targets(target, states, where, report):
             continue
-        delta[(source, symbol)] = target
-    return None if report.errors else delta
-
-
-def _parse_multi_target_delta(
-    raw: dict, alphabet: list[str], states: list[str], report: _Report
-) -> dict[tuple[str, str], list[str]] | None:
-    rows = _transition_rows(raw, ("from", "symbol", "to"), report)
-    if rows is None:
-        return None
-    delta: dict[tuple[str, str], list[str]] = {}
-    for i, row in enumerate(rows):
-        where = f"transition {i}"
-        source = _check_endpoint(row, "from", states, where, report)
-        symbol = _check_symbol(row, alphabet, where, report)
-        targets = row["to"]
-        if not isinstance(targets, list) or not all(
-            isinstance(t, str) for t in targets
-        ):
-            report.error(
-                "InvalidDocument", f"{where}: field 'to' must be an array of states"
-            )
+        key = (source, symbol, target) if kind.weighted else (source, symbol)
+        if key in delta:
+            noun = "value" if kind.weighted else "transition"
+            report.error("DuplicateTransition", f"{where}: second {noun} for {key!r}")
             continue
-        if source is None or symbol is None:
-            continue
-        bad = False
-        for t in targets:
-            if t not in states:
-                report.error("UnknownState", f"{where}: state {t!r} is not declared")
-                bad = True
-        if bad:
-            continue
-        if (source, symbol) in delta:
-            report.error(
-                "DuplicateTransition",
-                f"{where}: second transition for ({source!r}, {symbol!r})",
-            )
-            continue
-        if not targets:
+        if kind.multi_target:
+            value = _canonical_targets(value, states, where, report)
+        elif kind.weighted and value == ZERO:
             report.warn(
                 "CanonicalizedValue",
-                f"{where}: empty target list is omitted when serializing",
+                f"{where}: value {{0}} is the default and is omitted when serializing",
             )
-        ordered = [q for q in states if q in set(targets)]
-        if ordered != targets:
-            report.warn(
-                "CanonicalizedValue",
-                f"{where}: target list reordered to state order",
-            )
-        delta[(source, symbol)] = ordered
-    return None if report.errors else delta
+        delta[key] = value
+    return delta
 
 
-def _complete_dfa_delta(
-    delta: dict[tuple[str, str], str],
-    alphabet: list[str],
-    states: list[str],
-    report: _Report,
+def _check_target_list(row: dict, where: str, report: _Report) -> list[str] | None:
+    targets = row["to"]
+    if isinstance(targets, list) and all(isinstance(t, str) for t in targets):
+        return targets
+    report.error("InvalidDocument", f"{where}: field 'to' must be an array of states")
+    return None
+
+
+def _undeclared_targets(
+    targets: list[str], states: list[str], where: str, report: _Report
+) -> bool:
+    """Report each target that is not a declared state; True if there is one."""
+    unknown = [t for t in targets if t not in states]
+    for t in unknown:
+        report.error("UnknownState", f"{where}: state {t!r} is not declared")
+    return bool(unknown)
+
+
+def _canonical_targets(
+    targets: list[str], states: list[str], where: str, report: _Report
 ) -> list[str]:
-    """Total-ize a partial DFA transition map with the reserved dead state."""
+    """The target list in state order without repeats; each repair is a warning."""
+    if not targets:
+        report.warn(
+            "CanonicalizedValue",
+            f"{where}: empty target list is omitted when serializing",
+        )
+    seen: set[str] = set()
+    for t in targets:
+        if t in seen:
+            report.warn("CanonicalizedValue", f"{where}: duplicate target {t!r} merged")
+        seen.add(t)
+    ordered = [q for q in states if q in seen]
+    if ordered != list(dict.fromkeys(targets)):
+        report.warn(
+            "CanonicalizedValue",
+            f"{where}: target list reordered to state order",
+        )
+    return ordered
+
+
+def _complete_delta(
+    kind: _Kind, delta: dict, alphabet: list[str], states: list[str], report: _Report
+) -> list[str]:
+    """The states of a single-target map once it is total: a cdthfa map must
+    be total already, a partial dfa map gets the reserved dead state."""
     missing = [(q, a) for q in states for a in alphabet if (q, a) not in delta]
     if not missing:
+        return states
+    if kind.hesitant:
+        for q, a in missing:
+            report.error(
+                "IncompleteTransition",
+                f"no transition for ({q!r}, {a!r}); cdthfa documents must be total",
+            )
         return states
     if DFA_SINK_NAME in states:
         report.error(
@@ -431,126 +485,11 @@ def _complete_dfa_delta(
     return states + [DFA_SINK_NAME]
 
 
-def _parse_dfa(raw: dict, report: _Report) -> Dfa | None:
-    _warn_unknown_fields(raw, _HEADER_FIELDS, report)
-    header = _check_header(raw, report)
-    if header is None:
-        return None
-    alphabet, states, initial = header
-    delta = _parse_single_target_delta(raw, alphabet, states, report)
-    finals = _parse_final_list(raw, states, report)
-    if delta is None or finals is None:
-        return None
-    states = _complete_dfa_delta(delta, alphabet, states, report)
-    if report.errors:
-        return None
-    return _build(lambda: Dfa(states, alphabet, delta, initial, finals), report)
-
-
-def _parse_nfa(raw: dict, report: _Report) -> Nfa | None:
-    _warn_unknown_fields(raw, _HEADER_FIELDS, report)
-    header = _check_header(raw, report)
-    if header is None:
-        return None
-    alphabet, states, initial = header
-    delta = _parse_multi_target_delta(raw, alphabet, states, report)
-    finals = _parse_final_list(raw, states, report)
-    if delta is None or finals is None:
-        return None
-    return _build(lambda: Nfa(states, alphabet, delta, initial, finals), report)
-
-
 def _parse_metadata(raw: dict, report: _Report) -> dict | None:
     metadata = raw.get("metadata")
-    if metadata is None:
-        return {}
-    if not isinstance(metadata, dict):
+    if metadata is not None and not isinstance(metadata, dict):
         report.error("InvalidDocument", "field 'metadata' must be an object")
-        return None
     return metadata
-
-
-_HESITANT_FIELDS = _HEADER_FIELDS + ("metadata",)
-
-
-def _parse_nthfa(raw: dict, report: _Report) -> Nthfa | None:
-    _warn_unknown_fields(raw, _HESITANT_FIELDS, report)
-    header = _check_header(raw, report)
-    if header is None:
-        return None
-    alphabet, states, initial = header
-    rows = _transition_rows(raw, ("from", "symbol", "to", "value"), report)
-    metadata = _parse_metadata(raw, report)
-    if rows is None or metadata is None:
-        return None
-    psi: dict[tuple[str, str, str], Thfe] = {}
-    for i, row in enumerate(rows):
-        where = f"transition {i}"
-        source = _check_endpoint(row, "from", states, where, report)
-        symbol = _check_symbol(row, alphabet, where, report)
-        target = _check_endpoint(row, "to", states, where, report)
-        value = _parse_thfe(row["value"], where, report)
-        if source is None or symbol is None or target is None or value is None:
-            continue
-        if (source, symbol, target) in psi:
-            report.error(
-                "DuplicateTransition",
-                f"{where}: second value for ({source!r}, {symbol!r}, {target!r})",
-            )
-            continue
-        if value == ZERO:
-            report.warn(
-                "CanonicalizedValue",
-                f"{where}: value {{0}} is the default and is omitted when serializing",
-            )
-        psi[(source, symbol, target)] = value
-    finals = _parse_final_map(raw, states, report)
-    if report.errors or finals is None:
-        return None
-    return _build(
-        lambda: Nthfa(states, alphabet, psi, initial, finals, metadata), report
-    )
-
-
-def _parse_cnthfa(raw: dict, report: _Report) -> Cnthfa | None:
-    _warn_unknown_fields(raw, _HESITANT_FIELDS, report)
-    header = _check_header(raw, report)
-    if header is None:
-        return None
-    alphabet, states, initial = header
-    delta = _parse_multi_target_delta(raw, alphabet, states, report)
-    finals = _parse_final_map(raw, states, report)
-    metadata = _parse_metadata(raw, report)
-    if delta is None or finals is None or metadata is None:
-        return None
-    return _build(
-        lambda: Cnthfa(states, alphabet, delta, initial, finals, metadata), report
-    )
-
-
-def _parse_cdthfa(raw: dict, report: _Report) -> Cdthfa | None:
-    _warn_unknown_fields(raw, _HESITANT_FIELDS, report)
-    header = _check_header(raw, report)
-    if header is None:
-        return None
-    alphabet, states, initial = header
-    delta = _parse_single_target_delta(raw, alphabet, states, report)
-    finals = _parse_final_map(raw, states, report)
-    metadata = _parse_metadata(raw, report)
-    if delta is None or finals is None or metadata is None:
-        return None
-    for q in states:
-        for a in alphabet:
-            if (q, a) not in delta:
-                report.error(
-                    "IncompleteTransition",
-                    f"no transition for ({q!r}, {a!r}); cdthfa documents must be total",
-                )
-    if report.errors:
-        return None
-    return _build(
-        lambda: Cdthfa(states, alphabet, delta, initial, finals, metadata), report
-    )
 
 
 def _parse_decomposition(raw: dict, report: _Report) -> LevelDecomposition | None:
@@ -578,7 +517,7 @@ def _parse_decomposition(raw: dict, report: _Report) -> LevelDecomposition | Non
                 "InvalidDocument", f"{where}: field 'nfa' must be an nfa document"
             )
             continue
-        nfa = _parse_nfa(embedded, report)
+        nfa = _parse_automaton(_KINDS["nfa"], embedded, report)
         if key is None or nfa is None:
             continue
         if key in seen:
@@ -598,16 +537,6 @@ def _parse_decomposition(raw: dict, report: _Report) -> LevelDecomposition | Non
     return _build(lambda: LevelDecomposition(alphabet, levels), report)
 
 
-_PARSERS: dict[str, Callable[[dict, _Report], Automaton | None]] = {
-    "dfa": _parse_dfa,
-    "nfa": _parse_nfa,
-    "nthfa": _parse_nthfa,
-    "cnthfa": _parse_cnthfa,
-    "cdthfa": _parse_cdthfa,
-    "decomposition": _parse_decomposition,
-}
-
-
 def _thfe_json(value: Thfe) -> list[str]:
     return [format_degree(d) for d in value]
 
@@ -621,31 +550,34 @@ def _sorted_tree(value):
     return value
 
 
-def _single_target_rows(automaton: Dfa | Cdthfa) -> list[dict]:
-    return [
-        {"from": q, "symbol": a, "to": automaton.delta[(q, a)]}
-        for q in automaton.states
-        for a in automaton.alphabet
-    ]
-
-
-def _multi_target_rows(automaton: Nfa | Cnthfa) -> list[dict]:
+def _transitions_json(kind: _Kind, x: Automaton) -> list[dict]:
+    if kind.weighted:
+        state_index = {q: i for i, q in enumerate(x.states)}
+        symbol_index = {a: i for i, a in enumerate(x.alphabet)}
+        return [
+            {"from": q, "symbol": a, "to": p, "value": _thfe_json(x.psi[(q, a, p)])}
+            for q, a, p in sorted(
+                x.psi, key=lambda t: (state_index[t[0]], symbol_index[t[1]], state_index[t[2]])
+            )
+        ]
     rows = []
-    for q in automaton.states:
-        for a in automaton.alphabet:
-            targets = automaton.delta.get((q, a))
-            if targets:
-                ordered = [p for p in automaton.states if p in targets]
+    for q in x.states:
+        for a in x.alphabet:
+            targets = x.delta.get((q, a))
+            if not kind.multi_target:
+                rows.append({"from": q, "symbol": a, "to": targets})
+            elif targets:
+                ordered = [p for p in x.states if p in targets]
                 rows.append({"from": q, "symbol": a, "to": ordered})
     return rows
 
 
-def _final_map_json(automaton: Nthfa | Cnthfa | Cdthfa) -> dict[str, list[str]]:
-    return {
-        q: _thfe_json(automaton.final_map[q])
-        for q in automaton.states
-        if automaton.final_map[q] != ZERO
-    }
+def kind_name(x: object) -> str:
+    """The document kind of ``x``; its class name when it has none."""
+    if isinstance(x, LevelDecomposition):
+        return "decomposition"
+    names = (kind.name for kind in _KINDS.values() if isinstance(x, kind.cls))
+    return next(names, type(x).__name__)
 
 
 def _document_of(x: Automaton) -> dict:
@@ -658,40 +590,24 @@ def _document_of(x: Automaton) -> dict:
                 for key, nfa in x.levels
             ],
         }
-    doc: dict = {"kind": None, "alphabet": list(x.alphabet), "states": list(x.states)}
-    doc["initial"] = x.initial
-    if isinstance(x, Dfa):
-        doc["kind"] = "dfa"
-        doc["transitions"] = _single_target_rows(x)
-        doc["final"] = [q for q in x.states if q in x.finals]
-    elif isinstance(x, Nfa):
-        doc["kind"] = "nfa"
-        doc["transitions"] = _multi_target_rows(x)
-        doc["final"] = [q for q in x.states if q in x.finals]
-    elif isinstance(x, Nthfa):
-        doc["kind"] = "nthfa"
-        state_index = {q: i for i, q in enumerate(x.states)}
-        symbol_index = {a: i for i, a in enumerate(x.alphabet)}
-        doc["transitions"] = [
-            {"from": q, "symbol": a, "to": p, "value": _thfe_json(x.psi[(q, a, p)])}
-            for q, a, p in sorted(
-                x.psi, key=lambda t: (state_index[t[0]], symbol_index[t[1]], state_index[t[2]])
-            )
-        ]
-        doc["final"] = _final_map_json(x)
-    elif isinstance(x, Cnthfa):
-        doc["kind"] = "cnthfa"
-        doc["transitions"] = _multi_target_rows(x)
-        doc["final"] = _final_map_json(x)
-    elif isinstance(x, Cdthfa):
-        doc["kind"] = "cdthfa"
-        doc["transitions"] = _single_target_rows(x)
-        doc["final"] = _final_map_json(x)
-    else:
+    kind = _KINDS.get(kind_name(x))
+    if kind is None:
         raise TypeError(f"cannot serialize {type(x).__name__}")
-    metadata = getattr(x, "metadata", None)
-    if metadata:
-        doc["metadata"] = _sorted_tree(metadata)
+    doc = {
+        "kind": kind.name,
+        "alphabet": list(x.alphabet),
+        "states": list(x.states),
+        "initial": x.initial,
+        "transitions": _transitions_json(kind, x),
+    }
+    if not kind.hesitant:
+        doc["final"] = [q for q in x.states if q in x.finals]
+        return doc
+    doc["final"] = {
+        q: _thfe_json(x.final_map[q]) for q in x.states if x.final_map[q] != ZERO
+    }
+    if x.metadata:
+        doc["metadata"] = _sorted_tree(x.metadata)
     return doc
 
 

@@ -121,7 +121,10 @@ class Nthfa:
         ])
 
     def _as_tuple(self, vector: StateValueVector) -> _Vector:
-        return tuple(vector[q] for q in self.states)
+        try:
+            return tuple(vector[q] for q in self.states)
+        except KeyError as exc:
+            raise UnknownState(f"the vector has no entry for state {exc.args[0]!r}") from None
 
     def psi_value(self, q: str, a: str, p: str) -> Thfe:
         """Transition weight of the triple; absent triples weigh {0}."""

@@ -62,13 +62,13 @@ def parse_degree(value: str | int | Fraction) -> Fraction:
         degree = Fraction(value)
     elif isinstance(value, str):
         if m := _FRACTION_RE.match(value):
-            num, den = int(m.group(1)), int(m.group(2))
+            num, den = _integer(m.group(1)), _integer(m.group(2))
             if den == 0:
                 raise InvalidDegree(f"zero denominator in {value!r}")
             degree = Fraction(num, den)
         elif m := _DECIMAL_RE.match(value):
             whole, digits = m.group(1), m.group(2) or ""
-            degree = Fraction(int(whole + digits), 10 ** len(digits))
+            degree = Fraction(_integer(whole + digits), 10 ** len(digits))
         else:
             raise InvalidDegree(f"cannot parse degree {value!r}")
     else:
@@ -76,6 +76,14 @@ def parse_degree(value: str | int | Fraction) -> Fraction:
     if not 0 <= degree <= 1:
         raise DegreeOutOfRange(f"degree {degree} outside [0, 1]")
     return degree
+
+
+def _integer(digits: str) -> int:
+    """``int(digits)``, or InvalidDegree where int() refuses that many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InvalidDegree(f"cannot parse a degree with {len(digits)} digits") from None
 
 
 def format_degree(degree: Fraction) -> str:

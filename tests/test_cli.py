@@ -237,6 +237,20 @@ class TestValidate:
         assert lines[1].startswith(f"{fx(fixtures_dir, 'bad_number.json')}: error: InvalidDocument")
         assert len(lines) == 2
 
+    def test_number_too_long_for_int_is_an_invalid_degree(self, capsys, fixtures_dir, tmp_path):
+        doc = json.loads((fixtures_dir / "m1.json").read_text(encoding="utf-8"))
+        doc["final"]["q0"] = ["1/" + "1" * 5000]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{path}: error: InvalidDegree: final['q0']: ")
+        assert "5000 digits" in lines[0]
+        assert run(capsys, "eval", str(path), "a")[0] == 2
+
 
 class TestOracleCheck:
     def test_single_machine_matches_reference(self, capsys, fixtures_dir):

@@ -1,5 +1,8 @@
+import copy
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +251,24 @@ class TestKindSpecificRules:
         assert any(w.code == "CanonicalizedValue" for w in result.warnings)
         assert result.automaton.successors("q0", "a") == frozenset({"q0", "q1"})
 
+    @pytest.mark.parametrize("targets, warnings", [
+        (["q1", "q1"], ["duplicate target 'q1' merged"]),
+        (["q1", "q0", "q1"], ["duplicate target 'q1' merged",
+                              "target list reordered to state order"]),
+    ])
+    def test_duplicate_targets_merged(self, targets, warnings):
+        text = json.dumps({
+            "kind": "cnthfa", "alphabet": ["a"], "states": ["q0", "q1"],
+            "initial": "q0",
+            "transitions": [{"from": "q0", "symbol": "a", "to": targets}],
+            "final": {"q1": ["1"]},
+        })
+        result = parse_document(text)
+        assert [str(w) for w in result.warnings] == [
+            f"CanonicalizedValue: transition 0: {w}" for w in warnings
+        ]
+        assert result.automaton.delta[("q0", "a")] == frozenset(targets)
+
     def test_decomposition_level_alphabet_must_match(self, m1):
         doc = json.loads(serialize_automaton(decompose(m1)))
         doc["levels"][0]["nfa"]["alphabet"] = ["z"]
@@ -277,3 +298,121 @@ class TestValidateText:
         diagnostics = validate_text(text)
         severities = [d.severity for d in diagnostics]
         assert severities == sorted(severities)  # error < warning
+
+
+GOLDEN_DIAGNOSTICS = Path(__file__).parent / "golden_diagnostics.json"
+GOLDEN_FIXTURES = ("m1", "crisp", "det", "classic_dfa", "classic_nfa", "levels")
+# Values put in place of a top-level field, of a row field, and of a THFE.
+WRONG_FIELD_VALUES = (None, 1, "x", [], {}, [1])
+WRONG_ROW_VALUES = (1, None, "ghost", "z", ["ghost"], [1])
+WRONG_DEGREES = (["0"], ["1/0"], ["3/2"], ["abc"], [0.5], ["1/2", "2/4", "0.5"])
+DELETE = object()
+
+
+def _replaced(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of ``doc`` with the item at ``path`` set to ``value``, or
+    deleted when ``value`` is DELETE."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def _thfe_slots(doc: dict) -> list[tuple]:
+    """Paths of the first transition weight, first final value and first level key."""
+    slots = []
+    rows = doc.get("transitions") or doc.get("levels")
+    if "value" in rows[0]:
+        slots.append(("transitions", 0, "value"))
+    if "k" in rows[0]:
+        slots.append(("levels", 0, "k"))
+    if isinstance(doc.get("final"), dict) and doc["final"]:
+        slots.append(("final", next(iter(doc["final"]))))
+    return slots
+
+
+def document_mutations(doc: dict):
+    """(label, document) pairs: ``doc`` with one or two fields broken, a row
+    broken or repeated, target lists reordered or repeated, or a degree
+    misspelled.  A decomposition also gets every mutation of its first
+    embedded nfa."""
+    fields = list(doc) + ["metadata"] * ("metadata" not in doc)
+    for key in fields:
+        if key in doc:
+            yield f"delete {key}", _replaced(doc, (key,), DELETE)
+        for value in WRONG_FIELD_VALUES:
+            yield f"{key} = {json.dumps(value)}", _replaced(doc, (key,), value)
+    yield "unknown field", _replaced(doc, ("comment",), "hi")
+    for first, second in itertools.combinations(fields[1:], 2):
+        yield f"{first} = 1, {second} = 1", dict(doc, **{first: 1, second: 1})
+    rows_key = "transitions" if "transitions" in doc else "levels"
+    rows = doc[rows_key]
+    yield "unknown row field", _replaced(doc, (rows_key, 0, "note"), 1)
+    yield "row = 1", _replaced(doc, (rows_key, 0), 1)
+    yield "duplicated row", _replaced(doc, (rows_key,), rows + rows[:1])
+    for key in rows[0]:
+        yield f"delete row {key}", _replaced(doc, (rows_key, 0, key), DELETE)
+        for value in WRONG_ROW_VALUES:
+            yield f"row {key} = {json.dumps(value)}", _replaced(doc, (rows_key, 0, key), value)
+    for i, row in enumerate(rows):
+        targets = row.get("to")
+        if not isinstance(targets, list):
+            continue
+        path = (rows_key, i, "to")
+        if len(targets) > 1:
+            yield f"row {i} targets reversed", _replaced(doc, path, targets[::-1])
+        yield f"row {i} targets doubled", _replaced(doc, path, targets + targets)
+        yield f"row {i} first target twice", _replaced(doc, path, targets[:1] + targets)
+    for path in _thfe_slots(doc):
+        for degrees in WRONG_DEGREES:
+            label = " ".join(map(str, path))
+            yield f"{label} = {json.dumps(degrees)}", _replaced(doc, path, degrees)
+    if rows_key == "levels":
+        for label, nfa in document_mutations(rows[0]["nfa"]):
+            yield f"levels 0 nfa: {label}", _replaced(doc, ("levels", 0, "nfa"), nfa)
+
+
+def golden_diagnostics() -> list[dict]:
+    """Every diagnostic, and the serialization where the document parses,
+    of each mutation of each GOLDEN_FIXTURES document."""
+    entries = []
+    for name in GOLDEN_FIXTURES:
+        path = Path(__file__).parent / "fixtures" / f"{name}.json"
+        for label, doc in document_mutations(json.loads(path.read_text(encoding="utf-8"))):
+            text = json.dumps(doc)
+            try:
+                document = serialize_automaton(parse_document(text).automaton)
+            except DocumentError:
+                document = None
+            entries.append({
+                "fixture": name,
+                "mutation": label,
+                "diagnostics": [f"{d.severity}: {d}" for d in validate_text(text)],
+                "document": document,
+            })
+    return entries
+
+
+def test_diagnostics_match_golden():
+    """Malformed documents get exactly the diagnostics golden_diagnostics.json
+    records, and parsed ones the same serialization.  After an intended
+    change, rewrite the file with ``PYTHONPATH=src python tests/test_documents.py``."""
+    expected = json.loads(GOLDEN_DIAGNOSTICS.read_text(encoding="utf-8"))
+    actual = golden_diagnostics()
+    labels = [(e["fixture"], e["mutation"]) for e in actual]
+    assert len(set(labels)) == len(labels)
+    assert labels == [(e["fixture"], e["mutation"]) for e in expected]
+    for got, want in zip(actual, expected):
+        assert got == want, f"{want['fixture']}: {want['mutation']} changed"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIAGNOSTICS.write_text(
+        json.dumps(golden_diagnostics(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+    )

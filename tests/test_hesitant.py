@@ -114,6 +114,10 @@ class TestEvaluationKernel:
             (lambda: m1.psi_hat("q0", (), "nope"), UnknownState, "unknown state 'nope'"),
             (lambda: m1.psi_hat("nope", ("a",), "q0"), UnknownState, "unknown state 'nope'"),
             (lambda: m1.initial_vector("nope"), UnknownState, "unknown state 'nope'"),
+            (lambda: m1.advance({"q0": ONE}, "a"), UnknownState,
+             "the vector has no entry for state 'q1'"),
+            (lambda: m1.value_of({"q0": ONE}), UnknownState,
+             "the vector has no entry for state 'q1'"),
         ]
         for call, error, message in cases:
             with pytest.raises(error) as caught:

@@ -59,7 +59,13 @@ class TestParseDegree:
         with pytest.raises(InvalidDegree):
             parse_degree(0.5)
 
-    @pytest.mark.parametrize("text", ["", "abc", "1/0", "-1/2", "1e-3", ".5", "1/2/3"])
+    @pytest.mark.parametrize("text", [
+        "", "abc", "1/0", "-1/2", "1e-3", ".5", "1/2/3",
+        # More digits than int() converts by default (4300).
+        pytest.param("1/" + "1" * 5000, id="long-denominator"),
+        pytest.param("1" * 5000 + "/2", id="long-numerator"),
+        pytest.param("0" * 5000 + ".5", id="long-decimal"),
+    ])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(InvalidDegree):
             parse_degree(text)
