@@ -8,7 +8,7 @@ serialized downstream.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ClosureBudgetExceeded, IncompleteTransition, UnknownState, UnknownSymbol
 
@@ -52,51 +52,60 @@ def check_states(names: Sequence[str], initial: str) -> tuple[str, ...]:
     return names
 
 
-class _Exploration(NamedTuple):
-    order: list  # states in discovery order; index 0 is the start
-    delta: dict[tuple[int, str], int]  # (source index, symbol) -> target index
-    parents: list[tuple[int, str] | None]  # BFS parent (index, symbol); None at 0
-    stopped: int | None  # index of the state that satisfied ``stop``, if any
+class _View:
+    """A deterministic machine over ``alphabet``, built on demand from a
+    start state, a step, a value per state and, to name states, ``name``.
+    States are numbered in the order ``step`` first returns them (the start
+    is 0); each state's successors and value are computed once, and the
+    step that first reached a state is kept as its parent."""
+
+    def __init__(self, alphabet: Sequence[str], start: Hashable,
+                 step: Callable[[Hashable, str], Hashable], value: Callable,
+                 name: Callable[[int, Hashable], str] | None = None):
+        self.alphabet = alphabet
+        self.states = [start]
+        self.values = [value(start)]
+        self.parents: list[tuple[int, str] | None] = [None]
+        self.delta: dict[tuple[int, str], int] = {}  # (state, symbol) -> state
+        self._index = {start: 0}
+        self._step, self._value, self._name = step, value, name
+
+    def step(self, i: int, a: str) -> int:
+        j = self.delta.get((i, a))
+        if j is None:
+            target = self._step(self.states[i], a)
+            j = self.delta[(i, a)] = self._index.setdefault(target, len(self.states))
+            if j == len(self.states):
+                self.states.append(target)
+                self.values.append(self._value(target))
+                self.parents.append((i, a))
+        return j
+
+    def name(self, i: int) -> str:
+        return self._name(i, self.states[i])
+
+    def explore(self, budget: int | None = None, stop: Callable | None = None) -> int | None:
+        """Breadth-first search taking successors in alphabet order.
+
+        The numbering, and every name derived from it, is reproducible, and
+        following the parents back from a state spells its earliest access
+        word in length-then-alphabet order.  More than ``budget`` states raise
+        ClosureBudgetExceeded.  Returns the first state in number order that
+        satisfies ``stop``, or None once every reachable state is numbered.
+        """
+        # ``states`` grows while it is iterated, which makes it the BFS queue.
+        for i, _ in enumerate(self.states):
+            if stop is not None and stop(i):
+                return i
+            for a in self.alphabet:
+                self.step(i, a)
+                if budget is not None and len(self.states) > budget:
+                    raise ClosureBudgetExceeded(f"more than {budget} reachable states")
+        return None
 
     def named_delta(self, names: Sequence[str]) -> dict[tuple[str, str], str]:
-        """The transitions with state indices replaced by ``names``."""
+        """The transitions with state numbers replaced by ``names``."""
         return {(names[i], a): names[j] for (i, a), j in self.delta.items()}
-
-
-def _explore(
-    start: Hashable,
-    step: Callable[[Hashable, str], Hashable],
-    alphabet: Sequence[str],
-    budget: int | None = None,
-    stop: Callable[[Hashable], bool] | None = None,
-) -> _Exploration:
-    """Breadth-first search from ``start`` taking successors in alphabet order.
-
-    The discovery order, and every name derived from it, is reproducible, and
-    following the parents back from a state spells its earliest access word
-    in length-then-alphabet order.  More than ``budget`` states raise
-    ClosureBudgetExceeded; the search ends at the first state in discovery
-    order that satisfies ``stop``.
-    """
-    order = [start]
-    index = {start: 0}
-    delta: dict[tuple[int, str], int] = {}
-    parents: list[tuple[int, str] | None] = [None]
-    # ``order`` grows while it is iterated, which makes it the BFS queue.
-    for i, state in enumerate(order):
-        if stop is not None and stop(state):
-            return _Exploration(order, delta, parents, i)
-        for a in alphabet:
-            target = step(state, a)
-            j = index.get(target)
-            if j is None:
-                if budget is not None and len(order) >= budget:
-                    raise ClosureBudgetExceeded(f"more than {budget} reachable states")
-                j = index[target] = len(order)
-                order.append(target)
-                parents.append((i, a))
-            delta[(i, a)] = j
-    return _Exploration(order, delta, parents, None)
 
 
 def _escape(name: str) -> str:
@@ -213,13 +222,6 @@ class Nfa:
     def _step(self, subset: frozenset[str], a: str) -> frozenset[str]:
         return frozenset(p for q in subset for p in self.successors(q, a))
 
-    def _subsets(self) -> tuple[list[frozenset[str]], list[str], dict[tuple[str, str], str]]:
-        """Reachable subsets in discovery order, their names, and the named
-        transitions between them."""
-        found = _explore(frozenset({self.initial}), self._step, self.alphabet)
-        names = [subset_name(s) for s in found.order]
-        return found.order, names, found.named_delta(names)
-
     def to_dfa(self) -> Dfa:
         """Reachable-only subset construction.
 
@@ -227,6 +229,9 @@ class Nfa:
         canonically, so the result is reproducible.  The empty subset, when
         reachable, becomes an explicit non-final sink.
         """
-        subsets, names, delta = self._subsets()
-        finals = [name for name, s in zip(names, subsets) if s & self.finals]
-        return Dfa(names, self.alphabet, delta, names[0], finals)
+        view = _View(self.alphabet, frozenset({self.initial}), self._step,
+                     lambda s: bool(s & self.finals))
+        view.explore()
+        names = [subset_name(s) for s in view.states]
+        finals = [name for name, final in zip(names, view.values) if final]
+        return Dfa(names, self.alphabet, view.named_delta(names), names[0], finals)

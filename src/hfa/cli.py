@@ -24,7 +24,6 @@ from typing import Sequence
 from .classic import WORD_SEPARATOR, Dfa, Nfa
 from .constructions import (
     LevelDecomposition,
-    _to_cdthfa,
     crispify_nthfa,
     decompose,
     determinize_cnthfa,
@@ -78,20 +77,17 @@ def _reject_kind(path: str, got, expected: str):
     raise DocumentError([Diagnostic("InvalidDocument", message)])
 
 
-def _as_nthfa(path: str, x) -> Nthfa:
-    if isinstance(x, Cdthfa):
-        x = x.as_cnthfa()
-    if isinstance(x, Cnthfa):
-        return embed_cnthfa(x)
-    if isinstance(x, Nthfa):
-        return x
-    _reject_kind(path, x, "a hesitant automaton (nthfa, cnthfa, or cdthfa)")
-
-
 def _as_hesitant(path: str, x) -> Nthfa | Cnthfa | Cdthfa:
     if isinstance(x, (Nthfa, Cnthfa, Cdthfa)):
         return x
     _reject_kind(path, x, "a hesitant automaton (nthfa, cnthfa, or cdthfa)")
+
+
+def _as_nthfa(path: str, x) -> Nthfa:
+    x = _as_hesitant(path, x)
+    if isinstance(x, Cdthfa):
+        x = x.as_cnthfa()
+    return embed_cnthfa(x) if isinstance(x, Cnthfa) else x
 
 
 def parse_word(arg: str | None, lambda_flag: bool, alphabet: Sequence[str]) -> tuple[str, ...]:
@@ -148,8 +144,8 @@ def _cmd_union(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
-    left = _to_cdthfa(_as_hesitant(args.left, _load(args.left)), None)
-    right = _to_cdthfa(_as_hesitant(args.right, _load(args.right)), None)
+    left = _as_hesitant(args.left, _load(args.left))
+    right = _as_hesitant(args.right, _load(args.right))
     _emit(intersect_cdthfa(left, right))
     return 0
 
@@ -177,11 +173,9 @@ def _cmd_crispify(args) -> int:
 
 def _cmd_embed(args) -> int:
     x = _load(args.file)
-    if isinstance(x, Cdthfa):
-        x = x.as_cnthfa()
-    if not isinstance(x, Cnthfa):
+    if not isinstance(x, (Cnthfa, Cdthfa)):
         _reject_kind(args.file, x, "a cnthfa or cdthfa")
-    _emit(embed_cnthfa(x))
+    _emit(_as_nthfa(args.file, x))
     return 0
 
 
@@ -281,6 +275,13 @@ def _cmd_oracle_check(args) -> int:
     return 1
 
 
+def _length(text: str) -> int:
+    """A --length argument: a word length, so a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hfa",
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
             "compare against the brute-force reference (one file) or compare two machines word by word")
     p.add_argument("left")
     p.add_argument("right", nargs="?", default=None)
-    p.add_argument("-l", "--length", type=int, default=None, help="maximum word length")
+    p.add_argument("-l", "--length", type=_length, default=None, help="maximum word length")
     return parser
 
 

@@ -2,16 +2,19 @@
 level decomposition and recomposition, crisp embedding, crispification,
 determinization, intersection, and an exact equivalence decider.
 
-General machines rest on one backbone: the set of value vectors an Nthfa
-can reach is finite, and the step from one vector to the next is
-deterministic per symbol.  Saturating that step yields the vector
-automaton, a crisp, deterministic and total machine whose states are the
-reachable vectors and whose final values are their machine values, so it
-computes exactly the input's language.  Range computation, level cuts,
-crispification of general machines and the equivalence decider all read
-from it.  It is the forward weighted determinization of Mohri ("Weighted
-automata algorithms", 2009), which is valid here only left to right,
+Every hesitant automaton has a deterministic view, a crisp, deterministic
+and total machine computing its language that is built only as far as it
+is read: an Nthfa's view steps between its finitely many reachable value
+vectors, a Cnthfa's between reachable subsets, and a Cdthfa is its own
+view.  The Nthfa's view is the forward weighted determinization of Mohri
+("Weighted automata algorithms", 2009), valid here only left to right,
 because distributivity and inf-monotonicity fail on multi-valued elements.
+Explored in full, a view is the vector automaton or the subset
+construction, which range computation, level cuts and crispification read.
+Intersection and equivalence explore the product of two views, so a vector
+or subset is computed only once the product reaches it, and equivalence
+stops at the first pair whose values differ.  Every exploration goes
+through _explore, the one place its state budget is set.
 
 decompose and recompose remain as the paper's construction of a machine
 from its level cuts; crispification and equivalence do not pass through
@@ -20,11 +23,12 @@ them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .classic import Nfa, _explore, _Exploration, _pair_name
-from .errors import AlphabetMismatch, ClosureBudgetExceeded
+from .classic import Nfa, _pair_name, _View, subset_name
+from .errors import AlphabetMismatch
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
 
@@ -98,57 +102,75 @@ def union_nthfa(m1: Nthfa, m2: Nthfa) -> Nthfa:
     _require_same_alphabet(m1, m2)
     fresh = "q0"
     states = [fresh]
-    states += [f"L.{q}" for q in m1.states]
-    states += [f"R.{q}" for q in m2.states]
     psi: dict[tuple[str, str, str], Thfe] = {}
-    for (q, a, p), value in m1.psi.items():
-        psi[(f"L.{q}", a, f"L.{p}")] = value
-        if q == m1.initial:
-            psi[(fresh, a, f"L.{p}")] = value
-    for (q, a, p), value in m2.psi.items():
-        psi[(f"R.{q}", a, f"R.{p}")] = value
-        if q == m2.initial:
-            psi[(fresh, a, f"R.{p}")] = value
-    final: dict[str, Thfe] = {
-        fresh: sup_combination(m1.final_map[m1.initial], m2.final_map[m2.initial])
-    }
-    for q, value in m1.final_map.items():
-        final[f"L.{q}"] = value
-    for q, value in m2.final_map.items():
-        final[f"R.{q}"] = value
+    final = {fresh: sup_combination(m1.final_map[m1.initial], m2.final_map[m2.initial])}
+    for prefix, m in (("L.", m1), ("R.", m2)):
+        states += [prefix + q for q in m.states]
+        for (q, a, p), value in m.psi.items():
+            psi[(prefix + q, a, prefix + p)] = value
+            if q == m.initial:
+                psi[(fresh, a, prefix + p)] = value
+        final.update((prefix + q, value) for q, value in m.final_map.items())
     return Nthfa(states, m1.alphabet, psi, fresh, final)
 
 
-def _saturate(m: Nthfa, max_vectors: int | None) -> _Exploration:
-    """Breadth-first saturation of the reachable value vectors, each a tuple
-    in state order; index 0 is the empty-word vector."""
-    budget = DEFAULT_MAX_VECTORS if max_vectors is None else max_vectors
-    try:
-        return _explore(m._start, m._step, m.alphabet, budget)
-    except ClosureBudgetExceeded:
-        raise ClosureBudgetExceeded(f"more than {budget} reachable value vectors") from None
+def _view(x: Nthfa | Cnthfa | Cdthfa) -> _View:
+    """The deterministic view of a hesitant automaton: an Nthfa's value
+    vectors (named v0, v1, ...), a Cnthfa's subsets, a Cdthfa's own states."""
+    if isinstance(x, Cdthfa):
+        return _View(x.alphabet, x.initial, lambda q, a: x.delta[(q, a)],
+                     x.final_map.__getitem__, lambda i, q: q)
+    if isinstance(x, Cnthfa):
+        return _View(x.alphabet, frozenset({x.initial}), x._machine._step,
+                     lambda s: sup_combination_n(x.final_map[q] for q in x.states if q in s),
+                     lambda i, s: subset_name(s))
+    if isinstance(x, Nthfa):
+        return _View(x.alphabet, x._start, x._step, x._value, lambda i, v: f"v{i}")
+    raise TypeError(f"not a hesitant automaton: {type(x).__name__}")
 
 
-def _vector_automaton(m: Nthfa, max_vectors: int | None) -> Cdthfa:
-    """The vector automaton of ``m``: states v0, v1, ... are the reachable
-    value vectors in discovery order, and each final value is the machine
-    value of its vector, so every word evaluates exactly as under ``m``."""
-    found = _saturate(m, max_vectors)
-    names = [f"v{i}" for i in range(len(found.order))]
-    final = {name: m._value(vector) for name, vector in zip(names, found.order)}
-    return Cdthfa(names, m.alphabet, found.named_delta(names), names[0], final)
+def _product(v1: _View, v2: _View, combine: Callable) -> _View:
+    """The synchronized product of two views on pairs of their state
+    numbers; a pair's value combines the values of its two states."""
+    return _View(
+        v1.alphabet, (0, 0),
+        lambda pair, a: (v1.step(pair[0], a), v2.step(pair[1], a)),
+        lambda pair: combine(v1.values[pair[0]], v2.values[pair[1]]),
+        lambda i, pair: _pair_name((v1.name(pair[0]), v2.name(pair[1]))),
+    )
+
+
+def _explore(
+    view: _View, max_vectors: int | None = None, stop: Callable | None = None
+) -> int | None:
+    """Explore a view breadth-first; the one place a budget is chosen.  More
+    than ``max_vectors`` states, by default DEFAULT_MAX_VECTORS as it reads
+    at call time, raise ClosureBudgetExceeded."""
+    return view.explore(DEFAULT_MAX_VECTORS if max_vectors is None else max_vectors, stop)
+
+
+def _materialize(view: _View, max_vectors: int | None = None) -> Cdthfa:
+    """All reachable states of a view as a Cdthfa.  For an Nthfa that is its
+    vector automaton: each final value is the machine value of its vector,
+    so every word evaluates exactly as under the Nthfa."""
+    _explore(view, max_vectors)
+    names = [view.name(i) for i in range(len(view.states))]
+    final = dict(zip(names, view.values))
+    return Cdthfa(names, view.alphabet, view.named_delta(names), names[0], final)
 
 
 def reachable_vectors(
     m: Nthfa, max_vectors: int | None = None
 ) -> list[dict[str, Thfe]]:
     """All value vectors the machine can reach, in discovery order."""
-    return [dict(zip(m.states, vec)) for vec in _saturate(m, max_vectors).order]
+    view = _view(m)
+    _explore(view, max_vectors)
+    return [dict(zip(m.states, vector)) for vector in view.states]
 
 
 def compute_range(m: Nthfa, max_vectors: int | None = None) -> frozenset[Thfe]:
     """The exact set of values the language attains over all words."""
-    return frozenset(_vector_automaton(m, max_vectors).final_map.values())
+    return frozenset(_materialize(_view(m), max_vectors).final_map.values())
 
 
 def _level_nfa(d: Cdthfa, key: Thfe) -> Nfa:
@@ -166,12 +188,12 @@ def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
     may dominate ``k`` although no single path does.  Tracking exact vectors
     sidesteps that entirely.
     """
-    return _level_nfa(_vector_automaton(m, max_vectors), k)
+    return _level_nfa(_materialize(_view(m), max_vectors), k)
 
 
 def decompose(m: Nthfa, max_vectors: int | None = None) -> LevelDecomposition:
     """One level automaton per range value, keys sorted ascending."""
-    d = _vector_automaton(m, max_vectors)
+    d = _materialize(_view(m), max_vectors)
     keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
     return LevelDecomposition(m.alphabet, ((k, _level_nfa(d, k)) for k in keys))
 
@@ -197,10 +219,7 @@ def recompose(l: LevelDecomposition) -> Nthfa:
         machines.append(Nthfa(dfa.states, dfa.alphabet, psi, dfa.initial, final))
     if not machines:
         return Nthfa(["q0"], l.alphabet, {}, "q0", {"q0": ZERO})
-    combined = machines[0]
-    for machine in machines[1:]:
-        combined = union_nthfa(combined, machine)
-    return combined
+    return functools.reduce(union_nthfa, machines)
 
 
 def embed_cnthfa(n: Cnthfa) -> Nthfa:
@@ -218,18 +237,14 @@ def _crispify_zero_one(m: Nthfa) -> Cnthfa:
         sink += "_"
     states = list(m.states) + [sink]
     delta: dict[tuple[str, str], set[str]] = {}
-    for q in m.states:
+    for q in states:
         for a in m.alphabet:
             targets = {p for p in m.states if m.psi.get((q, a, p)) == ONE}
-            # Any remaining target carries weight {0}: that case routes to the sink.
+            # Weight-{0} targets route to the sink; its own rows are empty, so it loops.
             if len(targets) < len(m.states):
                 targets.add(sink)
             delta[(q, a)] = targets
-    for a in m.alphabet:
-        delta[(sink, a)] = {sink}
-    final = dict(m.final_map)
-    final[sink] = ZERO
-    return Cnthfa(states, m.alphabet, delta, m.initial, final)
+    return Cnthfa(states, m.alphabet, delta, m.initial, {**m.final_map, sink: ZERO})
 
 
 def crispify_nthfa(m: Nthfa, max_vectors: int | None = None) -> Cnthfa:
@@ -245,7 +260,7 @@ def crispify_nthfa(m: Nthfa, max_vectors: int | None = None) -> Cnthfa:
     """
     if m.is_zero_one():
         return _crispify_zero_one(m)
-    crisp = _vector_automaton(m, max_vectors).as_cnthfa()
+    crisp = _materialize(_view(m), max_vectors).as_cnthfa()
     crisp.metadata = {"normalized": True}
     return crisp
 
@@ -257,65 +272,38 @@ def determinize_cnthfa(n: Cnthfa) -> Cdthfa:
     value is the join of its members' final values, and the empty subset
     (reachable when the crisp transition map is partial) gets {0}.
     """
-    subsets, names, delta = n.as_nfa()._subsets()
-    final = {
-        name: sup_combination_n(n.final_map[q] for q in n.states if q in s)
-        for name, s in zip(names, subsets)
-    }
-    return Cdthfa(names, n.alphabet, delta, names[0], final)
+    return _materialize(_view(n))
 
 
-def _pair_step(d1: Cdthfa, d2: Cdthfa) -> Callable[[tuple[str, str], str], tuple[str, str]]:
-    """Synchronized step of two Cdthfa on pairs of their states."""
-    return lambda pair, a: (d1.delta[(pair[0], a)], d2.delta[(pair[1], a)])
-
-
-def intersect_cdthfa(d1: Cdthfa, d2: Cdthfa) -> Cdthfa:
-    """Product automaton computing the pointwise inf-combination of the two
-    languages; only reachable state pairs are materialized."""
-    _require_same_alphabet(d1, d2)
-    found = _explore((d1.initial, d2.initial), _pair_step(d1, d2), d1.alphabet)
-    names = [_pair_name(pair) for pair in found.order]
-    final = {
-        name: inf_combination(d1.final_map[q], d2.final_map[p])
-        for name, (q, p) in zip(names, found.order)
-    }
-    return Cdthfa(names, d1.alphabet, found.named_delta(names), names[0], final)
-
-
-def _to_cdthfa(a, max_vectors: int | None) -> Cdthfa:
-    if isinstance(a, Cdthfa):
-        return a
-    if isinstance(a, Cnthfa):
-        return determinize_cnthfa(a)
-    if isinstance(a, Nthfa):
-        return _vector_automaton(a, max_vectors)
-    raise TypeError(f"not a hesitant automaton: {type(a).__name__}")
+def intersect_cdthfa(a, b) -> Cdthfa:
+    """Product automaton computing the pointwise inf-combination of two
+    hesitant languages of any kind.  Only the reachable pairs of states of
+    the operands' deterministic views are built; a pair "(q,p)" names a
+    Cdthfa state, a Cnthfa subset or an Nthfa vector v0, v1, ..., numbered
+    in the order the left operand's alphabet explores them."""
+    _require_same_alphabet(a, b)
+    return _materialize(_product(_view(a), _view(b), inf_combination))
 
 
 def equivalent(a, b, max_vectors: int | None = None) -> EquivalenceVerdict:
     """Decide whether two hesitant automata compute the same language.
 
-    Both inputs are brought to crisp-deterministic form: an Nthfa becomes
-    its vector automaton, a Cnthfa its subset construction.  Then the
-    reachable pairs of the synchronized product are explored breadth-first
-    in alphabet order.  The languages are equal iff every reachable pair
-    carries equal final values; the first violating pair found yields the
-    counterexample, which is therefore the earliest distinguishing word in
-    length-then-alphabet enumeration order.
+    The synchronized product of the two deterministic views (an Nthfa's
+    value vectors, a Cnthfa's subsets, a Cdthfa itself) is explored
+    breadth-first in alphabet order, and each view computes a state only
+    when the search first reaches it.  The languages are equal iff every
+    reachable pair carries equal values; the search stops at the first
+    violating pair, whose access word is the counterexample and therefore
+    the earliest distinguishing word in length-then-alphabet enumeration
+    order.
     """
     _require_same_alphabet(a, b)
-    d1 = _to_cdthfa(a, max_vectors)
-    d2 = _to_cdthfa(b, max_vectors)
-    found = _explore(
-        (d1.initial, d2.initial), _pair_step(d1, d2), a.alphabet,
-        stop=lambda pair: d1.final_map[pair[0]] != d2.final_map[pair[1]],
-    )
-    if found.stopped is None:
+    pairs = _product(_view(a), _view(b), lambda x, y: x != y)
+    i = _explore(pairs, max_vectors, stop=pairs.values.__getitem__)
+    if i is None:
         return EquivalenceVerdict(equivalent=True, counterexample=None)
     word: list[str] = []
-    i = found.stopped
-    while found.parents[i] is not None:
-        i, symbol = found.parents[i]
+    while pairs.parents[i] is not None:
+        i, symbol = pairs.parents[i]
         word.append(symbol)
     return EquivalenceVerdict(equivalent=False, counterexample=tuple(reversed(word)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .classic import WORD_SEPARATOR, Dfa, Nfa
 from .constructions import LevelDecomposition
@@ -107,12 +107,13 @@ class ParseResult:
 class _Report:
     errors: list[Diagnostic] = field(default_factory=list)
     warnings: list[Diagnostic] = field(default_factory=list)
+    prefix: str = ""  # put before every message, e.g. "level 1: "
 
     def error(self, code: str, message: str, line: int | None = None) -> None:
-        self.errors.append(Diagnostic(code, message, line))
+        self.errors.append(Diagnostic(code, self.prefix + message, line))
 
     def warn(self, code: str, message: str) -> None:
-        self.warnings.append(Diagnostic(code, message, severity="warning"))
+        self.warnings.append(Diagnostic(code, self.prefix + message, severity="warning"))
 
 
 def parse_document(text: str) -> ParseResult:
@@ -188,7 +189,7 @@ def _check_alphabet_field(raw: dict, report: _Report) -> list[str] | None:
 
 def _check_header(
     raw: dict, report: _Report
-) -> tuple[list[str], list[str], str] | None:
+) -> tuple[list[str], dict[str, int], str] | None:
     """Validate alphabet, states, and initial; shared by all automaton kinds."""
     alphabet = _check_alphabet_field(raw, report)
     states = _string_list(raw, "states", report)
@@ -209,7 +210,7 @@ def _check_header(
         report.error("UnknownState", f"initial state {initial!r} is not declared")
     if report.errors or alphabet is None or states is None:
         return None
-    return alphabet, states, str(initial)
+    return alphabet, {q: i for i, q in enumerate(states)}, str(initial)
 
 
 def _warn_unknown_fields(raw: dict, known: tuple[str, ...], report: _Report) -> None:
@@ -279,7 +280,7 @@ def _transition_rows(
 
 
 def _check_name(
-    row: dict, key: str, declared: list[str], where: str, report: _Report
+    row: dict, key: str, declared: Collection[str], where: str, report: _Report
 ) -> str | None:
     """The row field ``key``: a declared symbol if it is "symbol", else a state."""
     name = row[key]
@@ -294,7 +295,7 @@ def _check_name(
 
 
 def _parse_final_list(
-    raw: dict, states: list[str], report: _Report
+    raw: dict, states: dict[str, int], report: _Report
 ) -> set[str] | None:
     finals = _string_list(raw, "final", report)
     if finals is None:
@@ -310,7 +311,7 @@ def _parse_final_list(
 
 
 def _parse_final_map(
-    raw: dict, states: list[str], report: _Report
+    raw: dict, states: dict[str, int], report: _Report
 ) -> dict[str, Thfe] | None:
     finals = raw.get("final")
     if not isinstance(finals, dict):
@@ -367,12 +368,12 @@ def _parse_automaton(kind: _Kind, raw: dict, report: _Report) -> Automaton | Non
     if report.errors:
         return None
     return _build(
-        lambda: kind.cls(states, alphabet, delta, initial, finals, *extra), report
+        lambda: kind.cls(list(states), alphabet, delta, initial, finals, *extra), report
     )
 
 
 def _parse_transitions(
-    kind: _Kind, raw: dict, alphabet: list[str], states: list[str], report: _Report
+    kind: _Kind, raw: dict, alphabet: list[str], states: dict[str, int], report: _Report
 ) -> dict | None:
     """The transition map of a ``kind`` document: (from, symbol) to a target
     or a target list, or, for weighted kinds, (from, symbol, to) to a THFE."""
@@ -420,7 +421,7 @@ def _check_target_list(row: dict, where: str, report: _Report) -> list[str] | No
 
 
 def _undeclared_targets(
-    targets: list[str], states: list[str], where: str, report: _Report
+    targets: list[str], states: dict[str, int], where: str, report: _Report
 ) -> bool:
     """Report each target that is not a declared state; True if there is one."""
     unknown = [t for t in targets if t not in states]
@@ -430,7 +431,7 @@ def _undeclared_targets(
 
 
 def _canonical_targets(
-    targets: list[str], states: list[str], where: str, report: _Report
+    targets: list[str], states: dict[str, int], where: str, report: _Report
 ) -> list[str]:
     """The target list in state order without repeats; each repair is a warning."""
     if not targets:
@@ -443,7 +444,7 @@ def _canonical_targets(
         if t in seen:
             report.warn("CanonicalizedValue", f"{where}: duplicate target {t!r} merged")
         seen.add(t)
-    ordered = [q for q in states if q in seen]
+    ordered = sorted(seen, key=states.__getitem__)
     if ordered != list(dict.fromkeys(targets)):
         report.warn(
             "CanonicalizedValue",
@@ -453,8 +454,8 @@ def _canonical_targets(
 
 
 def _complete_delta(
-    kind: _Kind, delta: dict, alphabet: list[str], states: list[str], report: _Report
-) -> list[str]:
+    kind: _Kind, delta: dict, alphabet: list[str], states: dict[str, int], report: _Report
+) -> dict[str, int]:
     """The states of a single-target map once it is total: a cdthfa map must
     be total already, a partial dfa map gets the reserved dead state."""
     missing = [(q, a) for q in states for a in alphabet if (q, a) not in delta]
@@ -482,7 +483,7 @@ def _complete_delta(
         delta[(q, a)] = DFA_SINK_NAME
     for a in alphabet:
         delta[(DFA_SINK_NAME, a)] = DFA_SINK_NAME
-    return states + [DFA_SINK_NAME]
+    return {**states, DFA_SINK_NAME: len(states)}
 
 
 def _parse_metadata(raw: dict, report: _Report) -> dict | None:
@@ -517,7 +518,11 @@ def _parse_decomposition(raw: dict, report: _Report) -> LevelDecomposition | Non
                 "InvalidDocument", f"{where}: field 'nfa' must be an nfa document"
             )
             continue
-        nfa = _parse_automaton(_KINDS["nfa"], embedded, report)
+        # A report of its own, so that one broken level hides nothing in the next.
+        level = _Report(prefix=f"{where}: ")
+        nfa = _parse_automaton(_KINDS["nfa"], embedded, level)
+        report.errors += level.errors
+        report.warnings += level.warnings
         if key is None or nfa is None:
             continue
         if key in seen:
@@ -551,8 +556,8 @@ def _sorted_tree(value):
 
 
 def _transitions_json(kind: _Kind, x: Automaton) -> list[dict]:
+    state_index = {q: i for i, q in enumerate(x.states)}
     if kind.weighted:
-        state_index = {q: i for i, q in enumerate(x.states)}
         symbol_index = {a: i for i, a in enumerate(x.alphabet)}
         return [
             {"from": q, "symbol": a, "to": p, "value": _thfe_json(x.psi[(q, a, p)])}
@@ -567,7 +572,7 @@ def _transitions_json(kind: _Kind, x: Automaton) -> list[dict]:
             if not kind.multi_target:
                 rows.append({"from": q, "symbol": a, "to": targets})
             elif targets:
-                ordered = [p for p in x.states if p in targets]
+                ordered = sorted(targets, key=state_index.__getitem__)
                 rows.append({"from": q, "symbol": a, "to": ordered})
     return rows
 

@@ -38,4 +38,4 @@ class WordTooLong(HfaError, ValueError):
 
 
 class ClosureBudgetExceeded(HfaError, RuntimeError):
-    """A saturation loop grew past its configured element budget."""
+    """An exploration of reachable vectors, subsets or pairs grew past its budget."""

@@ -435,6 +435,11 @@ CLI_COMMANDS = [
     ("validate", "bad_number.json", "bad_syntax.json", "bad_partial_cdthfa.json"),
     ("oracle-check", "m1.json"),
     ("oracle-check", "m1.json", "n1.json"),
+    ("intersect", "det.json", "zero_one.json"),
+    ("intersect", "m1.json", "m1.json"),
+    ("determinize", "det.json"),
+    ("equiv", "zero_one.json", "crisp.json"),
+    ("equiv", "crisp.json", "det.json"),
 ]
 
 

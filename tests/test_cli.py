@@ -264,6 +264,16 @@ class TestOracleCheck:
         assert code == 0
         assert "agree on all words up to length 5" in out
 
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_negative_length_is_a_usage_error(self, capsys, fixtures_dir, pair):
+        paths = [fx(fixtures_dir, "m1.json")] * (2 if pair else 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", *paths, "-l", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be a non-negative integer, got '-1'" in err
+
     def test_pair_mode_disagreement(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "oracle-check", fx(fixtures_dir, "const_half.json"),
                            fx(fixtures_dir, "const_third.json"))
@@ -276,6 +286,18 @@ class TestExitCodes:
         monkeypatch.setattr(hfa.constructions, "DEFAULT_MAX_VECTORS", 1)
         code, _, err = run(capsys, "range", fx(fixtures_dir, "m1.json"))
         assert code == 3
+        assert err.startswith("closure-budget-exceeded:")
+
+    @pytest.mark.parametrize("argv", [
+        ["determinize", "crisp.json"],
+        ["intersect", "det.json", "det2.json"],
+        ["equiv", "crisp.json", "crisp.json"],
+    ])
+    def test_subset_and_product_budgets_exit_three(self, capsys, fixtures_dir, monkeypatch, argv):
+        monkeypatch.setattr(hfa.constructions, "DEFAULT_MAX_VECTORS", 1)
+        paths = [fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *paths)
+        assert (code, out) == (3, "")
         assert err.startswith("closure-budget-exceeded:")
 
     def test_parse_errors_exit_two(self, capsys, fixtures_dir):

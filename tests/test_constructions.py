@@ -29,11 +29,13 @@ from hfa import (
     level_automaton,
     reachable_vectors,
     recompose,
+    sup_combination,
     union_nthfa,
 )
 
 from support import (
     constant_automaton,
+    farey_pool,
     h_union_pointwise,
     hyperbolic_language_eval,
     perturb_nthfa,
@@ -337,6 +339,45 @@ class TestEquivalent:
                     # Only legitimate when the shortest distinguishing word
                     # is longer than the oracle's bound.
                     assert len(verdict.counterexample) > 6
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The symbols of the Nthfa._step calls made while a test runs."""
+        calls = []
+        step = Nthfa._step
+
+        def counted(m, vector, a):
+            calls.append(a)
+            return step(m, vector, a)
+
+        monkeypatch.setattr(Nthfa, "_step", counted)
+        return calls
+
+    def test_differing_initial_values_need_no_step(self, steps):
+        rng = random.Random(7)
+        for _ in range(6):
+            m = random_nthfa(rng, max_states=4, pool=farey_pool(10))
+        other = Nthfa(m.states, m.alphabet, m.psi, m.initial,
+                      {**m.final_map, m.initial: sup_combination(m.final_map[m.initial], ONE)})
+        assert m.final_map[m.initial] != ONE
+        assert equivalent(m, other).counterexample == ()
+        assert steps == []
+
+    def test_never_more_steps_than_two_saturations(self, steps):
+        rng = random.Random(2024)
+        lazy = eager = 0
+        for i in range(40):
+            m = random_nthfa(rng, max_states=3, pool=farey_pool(6))
+            other = perturb_nthfa(rng, m) if i % 2 == 0 else union_nthfa(m, m)
+            equivalent(m, other)
+            calls = len(steps)
+            reachable_vectors(m)
+            reachable_vectors(other)
+            assert calls <= len(steps) - calls
+            lazy, eager = lazy + calls, eager + len(steps) - calls
+            steps.clear()
+        # Inequivalent pairs stop early, so the total is strictly smaller.
+        assert lazy < eager
 
 
 class TestConstantAutomaton:

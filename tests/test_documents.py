@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,40 @@ class TestKindSpecificRules:
         doc = json.loads(serialize_automaton(decompose(m1)))
         doc["levels"][0]["nfa"]["kind"] = "dfa"
         assert "InvalidDocument" in codes_of(json.dumps(doc))
+
+    def test_decomposition_diagnostics_name_their_level(self):
+        # Every broken level is reported, not just the first one.
+        doc = json.loads((Path(__file__).parent / "fixtures" / "levels.json").read_text("utf-8"))
+        for level in doc["levels"][:2]:
+            level["nfa"]["transitions"][0]["symbol"] = "z"
+        assert [str(d) for d in validate_text(json.dumps(doc))] == [
+            f"UnknownSymbol: level {i}: transition 0: symbol 'z' is not declared"
+            for i in range(2)
+        ]
+
+
+def _ring_cnthfa_text(n: int) -> str:
+    """A cnthfa document on ``n`` states where state i steps to i+1 and i+2."""
+    states = [f"q{i}" for i in range(n)]
+    rows = [{"from": q, "symbol": "a", "to": [states[(i + 1) % n], states[(i + 2) % n]]}
+            for i, q in enumerate(states)]
+    return json.dumps({"kind": "cnthfa", "alphabet": ["a"], "states": states,
+                       "initial": "q0", "transitions": rows, "final": {"q0": ["1"]}})
+
+
+def test_parse_and_serialize_grow_linearly_in_states():
+    """8 times the states takes well under 16 times as long to parse and
+    serialize; growth quadratic in the states would make it about 64."""
+    def seconds(text):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            serialize_automaton(parse_document(text).automaton)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small, large = _ring_cnthfa_text(500), _ring_cnthfa_text(4000)
+    assert seconds(large) < 16 * seconds(small)
 
 
 class TestValidateText:
