@@ -4,6 +4,12 @@ subset construction connecting them.
 State and symbol order is significant everywhere: it fixes iteration order,
 construction output, and therefore byte-level reproducibility of anything
 serialized downstream.
+
+Inside an Nfa a subset of states is an int with bit i set for the i-th
+declared state, and one step ORs the successor masks of its members, which
+are built once per symbol at construction.  Subsets become frozensets of
+names only at the API boundary (``extended``) and get a name (subset_name)
+only when a construction names its states.
 """
 
 from __future__ import annotations
@@ -184,23 +190,39 @@ class Nfa:
         self.alphabet = check_alphabet(alphabet)
         self.states = check_states(states, initial)
         self.initial = initial
-        self._state_set = frozenset(self.states)
+        # State name to its bit in subset masks.
+        self._position = {q: i for i, q in enumerate(self.states)}
         self.finals = frozenset(finals)
         for f in self.finals:
-            if f not in self._state_set:
+            if f not in self._position:
                 raise UnknownState(f"final state {f!r} is not a declared state")
         self.delta: dict[tuple[str, str], frozenset[str]] = {}
+        successors = {a: [0] * len(self.states) for a in self.alphabet}
         for (q, a), targets in delta.items():
-            if q not in self._state_set:
+            if q not in self._position:
                 raise UnknownState(f"transition source {q!r} is not a declared state")
             if a not in self.alphabet:
                 raise UnknownSymbol(f"transition from {q!r} uses unknown symbol {a!r}")
             targets = frozenset(targets)
             for p in targets:
-                if p not in self._state_set:
+                if p not in self._position:
                     raise UnknownState(f"transition target {p!r} is not a declared state")
             if targets:
                 self.delta[(q, a)] = targets
+                successors[a][self._position[q]] = self._mask(targets)
+        # Per symbol, per state position: the mask of that state's successors.
+        self._successors = {a: tuple(row) for a, row in successors.items()}
+
+    def _mask(self, states: Iterable[str]) -> int:
+        """The subset mask of some declared states."""
+        mask = 0
+        for q in states:
+            mask |= 1 << self._position[q]
+        return mask
+
+    def _members(self, subset: int) -> list[str]:
+        """The states of a subset mask, in declaration order."""
+        return [q for i, q in enumerate(self.states) if subset >> i & 1]
 
     def successors(self, q: str, a: str) -> frozenset[str]:
         if a not in self.alphabet:
@@ -209,29 +231,41 @@ class Nfa:
 
     def extended(self, q: str, w: Sequence[str]) -> frozenset[str]:
         """All states reachable from ``q`` along ``w``; may be empty."""
-        if q not in self._state_set:
+        if q not in self._position:
             raise UnknownState(f"unknown state {q!r}")
-        current = frozenset({q})
+        current = self._mask([q])
         for a in w:
             current = self._step(current, a)
-        return current
+        return frozenset(self._members(current))
 
     def accepts(self, w: Sequence[str]) -> bool:
         return bool(self.extended(self.initial, w) & self.finals)
 
-    def _step(self, subset: frozenset[str], a: str) -> frozenset[str]:
-        return frozenset(p for q in subset for p in self.successors(q, a))
+    def _step(self, subset: int, a: str) -> int:
+        """The subset mask reached from ``subset`` by reading ``a``."""
+        try:
+            successors = self._successors[a]
+        except KeyError:
+            raise UnknownSymbol(f"unknown symbol {a!r}") from None
+        out = 0
+        while subset:
+            low = subset & -subset
+            out |= successors[low.bit_length() - 1]
+            subset ^= low
+        return out
 
-    def to_dfa(self) -> Dfa:
+    def to_dfa(self, max_states: int | None = None) -> Dfa:
         """Reachable-only subset construction.
 
         Subsets are discovered breadth-first in alphabet order and named
         canonically, so the result is reproducible.  The empty subset, when
-        reachable, becomes an explicit non-final sink.
+        reachable, becomes an explicit non-final sink.  More than
+        ``max_states`` subsets raise ClosureBudgetExceeded.
         """
-        view = _View(self.alphabet, frozenset({self.initial}), self._step,
-                     lambda s: bool(s & self.finals))
-        view.explore()
-        names = [subset_name(s) for s in view.states]
-        finals = [name for name, final in zip(names, view.values) if final]
-        return Dfa(names, self.alphabet, view.named_delta(names), names[0], finals)
+        finals = self._mask(self.finals)
+        view = _View(self.alphabet, self._mask([self.initial]), self._step,
+                     lambda s: bool(s & finals))
+        view.explore(max_states)
+        names = [subset_name(self._members(s)) for s in view.states]
+        accepting = [name for name, final in zip(names, view.values) if final]
+        return Dfa(names, self.alphabet, view.named_delta(names), names[0], accepting)

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from . import constructions
 from .classic import WORD_SEPARATOR, Dfa, Nfa
 from .constructions import (
     LevelDecomposition,
@@ -45,12 +46,6 @@ from .documents import (
     validate_text,
 )
 from .hesitant import Cdthfa, Cnthfa, Nthfa
-from .oracle import (
-    DEFAULT_RECURSION_BOUND,
-    iter_words,
-    languages_agree_up_to,
-    reference_eval,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -153,7 +148,7 @@ def _cmd_intersect(args) -> int:
 def _cmd_determinize(args) -> int:
     x = _load(args.file)
     if isinstance(x, Nfa):
-        _emit(x.to_dfa())
+        _emit(x.to_dfa(constructions.DEFAULT_MAX_VECTORS))
     elif isinstance(x, Cdthfa):
         _emit(determinize_cnthfa(x.as_cnthfa()))
     elif isinstance(x, Cnthfa):
@@ -245,6 +240,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # Imported here so that no other command pays for loading the oracle.
+    from .oracle import DEFAULT_RECURSION_BOUND, iter_words, languages_agree_up_to, reference_eval
+
     left = _as_hesitant(args.left, _load(args.left))
     if args.right is None:
         # The literal reference recursion is exponential in word length, so

@@ -14,7 +14,8 @@ construction, which range computation, level cuts and crispification read.
 Intersection and equivalence explore the product of two views, so a vector
 or subset is computed only once the product reaches it, and equivalence
 stops at the first pair whose values differ.  Every exploration goes
-through _explore, the one place its state budget is set.
+through _explore, the one place its state budget is set; the subset
+construction of a classical Nfa takes the same budget as an argument.
 
 decompose and recompose remain as the paper's construction of a machine
 from its level cuts; crispification and equivalence do not pass through
@@ -24,13 +25,14 @@ them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .classic import Nfa, _pair_name, _View, subset_name
 from .errors import AlphabetMismatch
 from .hesitant import Cdthfa, Cnthfa, Nthfa
-from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
+from .hfe import (
+    ONE, ZERO, DegreeCodec, Thfe, inf_combination, leq, sup_combination, sup_combination_n,
+)
 
 __all__ = [
     "DEFAULT_MAX_VECTORS",
@@ -53,8 +55,7 @@ __all__ = [
 DEFAULT_MAX_VECTORS = 100_000
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     """Outcome of a language comparison; the counterexample, present exactly
     when not equivalent, evaluates to different THFEs under the two inputs."""
 
@@ -116,17 +117,32 @@ def union_nthfa(m1: Nthfa, m2: Nthfa) -> Nthfa:
 
 def _view(x: Nthfa | Cnthfa | Cdthfa) -> _View:
     """The deterministic view of a hesitant automaton: an Nthfa's value
-    vectors (named v0, v1, ...), a Cnthfa's subsets, a Cdthfa's own states."""
+    vectors (named v0, v1, ...), a Cnthfa's subsets, a Cdthfa's own states.
+
+    A Cnthfa's subsets are the state masks of its Nfa, and its final values
+    are encoded once, so a subset's value joins the masks of its members and
+    is decoded to a Thfe only as the view's value."""
     if isinstance(x, Cdthfa):
         return _View(x.alphabet, x.initial, lambda q, a: x.delta[(q, a)],
                      x.final_map.__getitem__, lambda i, q: q)
     if isinstance(x, Cnthfa):
-        return _View(x.alphabet, frozenset({x.initial}), x._machine._step,
-                     lambda s: sup_combination_n(x.final_map[q] for q in x.states if q in s),
-                     lambda i, s: subset_name(s))
+        nfa, codec = x._machine, DegreeCodec(x.final_map.values())
+        finals = [codec.encode(f) for f in x.final_map.values()]  # in state order
+        return _View(
+            x.alphabet, nfa._mask([x.initial]), nfa._step,
+            lambda s: codec.decode(codec.join(f for i, f in enumerate(finals) if s >> i & 1)),
+            lambda i, s: subset_name(nfa._members(s)),
+        )
     if isinstance(x, Nthfa):
         return _View(x.alphabet, x._start, x._step, x._value, lambda i, v: f"v{i}")
     raise TypeError(f"not a hesitant automaton: {type(x).__name__}")
+
+
+def _views(a, b) -> tuple[_View, _View]:
+    """The views of two operands; one view serves both when they are the
+    same object, so its states are computed once."""
+    va = _view(a)
+    return va, (va if b is a else _view(b))
 
 
 def _product(v1: _View, v2: _View, combine: Callable) -> _View:
@@ -213,7 +229,7 @@ def recompose(l: LevelDecomposition) -> Nthfa:
     """
     machines: list[Nthfa] = []
     for key, nfa in l.levels:
-        dfa = nfa.to_dfa()
+        dfa = nfa.to_dfa(DEFAULT_MAX_VECTORS)
         psi = {(q, a, p): ONE for (q, a), p in dfa.delta.items()}
         final = {q: (key if q in dfa.finals else ZERO) for q in dfa.states}
         machines.append(Nthfa(dfa.states, dfa.alphabet, psi, dfa.initial, final))
@@ -282,7 +298,7 @@ def intersect_cdthfa(a, b) -> Cdthfa:
     Cdthfa state, a Cnthfa subset or an Nthfa vector v0, v1, ..., numbered
     in the order the left operand's alphabet explores them."""
     _require_same_alphabet(a, b)
-    return _materialize(_product(_view(a), _view(b), inf_combination))
+    return _materialize(_product(*_views(a, b), inf_combination))
 
 
 def equivalent(a, b, max_vectors: int | None = None) -> EquivalenceVerdict:
@@ -298,7 +314,7 @@ def equivalent(a, b, max_vectors: int | None = None) -> EquivalenceVerdict:
     order.
     """
     _require_same_alphabet(a, b)
-    pairs = _product(_view(a), _view(b), lambda x, y: x != y)
+    pairs = _product(*_views(a, b), lambda x, y: x != y)
     i = _explore(pairs, max_vectors, stop=pairs.values.__getitem__)
     if i is None:
         return EquivalenceVerdict(equivalent=True, counterexample=None)

@@ -25,7 +25,6 @@ diagnostics without raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Collection, NamedTuple
 
 from .classic import WORD_SEPARATOR, Dfa, Nfa
@@ -75,8 +74,7 @@ _KINDS = {
 KINDS = (*_KINDS, "decomposition")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One parse-time finding; ``line`` is set for JSON syntax errors only."""
 
     code: str
@@ -97,17 +95,18 @@ class DocumentError(HfaError, ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     automaton: Automaton
     warnings: tuple[Diagnostic, ...]
 
 
-@dataclass
 class _Report:
-    errors: list[Diagnostic] = field(default_factory=list)
-    warnings: list[Diagnostic] = field(default_factory=list)
-    prefix: str = ""  # put before every message, e.g. "level 1: "
+    """The errors and warnings found while parsing one document."""
+
+    def __init__(self, prefix: str = ""):
+        self.errors: list[Diagnostic] = []
+        self.warnings: list[Diagnostic] = []
+        self.prefix = prefix  # put before every message, e.g. "level 1: "
 
     def error(self, code: str, message: str, line: int | None = None) -> None:
         self.errors.append(Diagnostic(code, self.prefix + message, line))

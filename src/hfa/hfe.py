@@ -15,6 +15,12 @@ two maxima, the sup-combination every degree from the larger of the two
 minima.  Both run as one merge of two sorted tuples, and their results are
 wrapped without re-parsing.  The literal pairwise definitions live in the
 oracle module, which the tests check these forms against.
+
+For the same reason every value a machine computes is a subset of one
+sorted universe: the degrees its weights and final values mention, plus 0
+and 1.  DegreeCodec numbers that universe and encodes a THFE as an int with
+one bit per degree, so a join is a few integer operations; values become
+Thfe again only where a caller reads them.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "sup_combination",
     "sup_combination_n",
     "leq",
+    "DegreeCodec",
     "is_degenerate",
     "generated_closure",
     "DEFAULT_CLOSURE_BUDGET",
@@ -223,6 +230,46 @@ def sup_combination_n(family: Iterable[Thfe]) -> Thfe:
         xs = x.degrees
         acc = _merge(acc, xs[bisect_left(xs, floor):])
     return _trusted(acc)
+
+
+class DegreeCodec:
+    """THFEs over one finite universe of degrees as int bitmasks.
+
+    ``universe`` is the sorted set of the degrees of ``values`` together
+    with 0 and 1; bit i of a mask stands for ``universe[i]``.  Since 0 is
+    the least degree, bit 0 stands for it and the mask of {0} is 1.
+    """
+
+    __slots__ = ("universe", "_bits")
+
+    def __init__(self, values: Iterable[Thfe]):
+        degrees = {Fraction(0), Fraction(1)}
+        for x in values:
+            degrees.update(x.degrees)
+        self.universe = tuple(sorted(degrees))
+        self._bits = {d: 1 << i for i, d in enumerate(self.universe)}
+
+    def encode(self, x: Thfe) -> int:
+        """The mask of ``x``; its degrees must lie in the universe."""
+        mask = 0
+        for d in x.degrees:
+            mask |= self._bits[d]
+        return mask
+
+    def decode(self, mask: int) -> Thfe:
+        """The THFE of a non-zero mask."""
+        return _trusted(tuple(d for i, d in enumerate(self.universe) if mask >> i & 1))
+
+    @staticmethod
+    def join(masks: Iterable[int]) -> int:
+        """sup_combination_n on masks: every bit of every member from the
+        highest of their lowest set bits up, the mask of {0} when empty."""
+        union = floor = 0
+        for mask in masks:
+            union |= mask
+            floor = max(floor, mask & -mask)
+        # floor is a power of two, so -floor keeps exactly the bits from it up.
+        return union & -floor if floor else 1
 
 
 def leq(x: Thfe, y: Thfe) -> bool:

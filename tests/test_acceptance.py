@@ -440,6 +440,11 @@ CLI_COMMANDS = [
     ("determinize", "det.json"),
     ("equiv", "zero_one.json", "crisp.json"),
     ("equiv", "crisp.json", "det.json"),
+    ("determinize", "crisp16.json"),
+    ("equiv", "crisp16.json", "crisp16_renamed.json"),
+    ("intersect", "crisp16_left.json", "crisp16_right.json"),
+    ("eval", "crisp16.json", "babbbacc"),
+    ("embed", "crisp16.json"),
 ]
 
 

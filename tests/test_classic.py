@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hfa import Dfa, Nfa, UnknownState, UnknownSymbol, subset_name
-from hfa.errors import IncompleteTransition
+from hfa.errors import ClosureBudgetExceeded, IncompleteTransition
 
 from support import random_cnthfa
 
@@ -124,8 +126,59 @@ class TestSubsetConstruction:
             for w in words:
                 assert n.accepts(w) == d.accepts(w)
 
+    def test_to_dfa_budget(self):
+        n = ends_in_ab_nfa()
+        assert len(n.to_dfa(3).states) == 3
+        with pytest.raises(ClosureBudgetExceeded, match="more than 2 reachable states"):
+            n.to_dfa(2)
+
     def test_to_dfa_is_deterministic(self):
         a = ends_in_ab_nfa().to_dfa()
         b = ends_in_ab_nfa().to_dfa()
         assert a.states == b.states
         assert a.delta == b.delta
+
+
+@st.composite
+def nfas(draw) -> Nfa:
+    """Nfas of 1-5 states over 1-2 symbols whose transition map may be
+    partial and may list empty target sets."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 5)))]
+    alphabet = ["a", "b"][: draw(st.integers(1, 2))]
+    delta = draw(st.dictionaries(
+        st.tuples(st.sampled_from(states), st.sampled_from(alphabet)),
+        st.frozensets(st.sampled_from(states)),
+    ))
+    return Nfa(states, alphabet, delta, states[0], [])
+
+
+def step_by_definition(n: Nfa, subset: frozenset, a: str) -> frozenset:
+    return frozenset(p for q in subset for p in n.successors(q, a))
+
+
+class TestSubsetMasks:
+    """Subsets run as int masks inside an Nfa; they must behave as the
+    frozensets of state names they stand for."""
+
+    @given(nfas(), st.data())
+    def test_step_is_the_union_of_successors(self, n, data):
+        subset = data.draw(st.frozensets(st.sampled_from(n.states)))  # {} included
+        a = data.draw(st.sampled_from(n.alphabet))
+        expected = step_by_definition(n, subset, a)
+        assert n._step(n._mask(subset), a) == n._mask(expected)
+        assert frozenset(n._members(n._mask(expected))) == expected
+
+    @given(nfas(), st.data())
+    def test_extended_folds_the_step(self, n, data):
+        q = data.draw(st.sampled_from(n.states))
+        w = data.draw(st.lists(st.sampled_from(n.alphabet), max_size=6))
+        expected = frozenset({q})
+        for a in w:
+            expected = step_by_definition(n, expected, a)
+        assert n.extended(q, w) == expected
+
+    def test_unknown_symbol_from_the_empty_subset(self):
+        n = Nfa(["q0", "q1"], ["a"], {("q0", "a"): {"q1"}}, "q0", [])
+        assert n.extended("q0", ["a", "a"]) == frozenset()
+        with pytest.raises(UnknownSymbol):
+            n.extended("q0", ["a", "a", "z"])

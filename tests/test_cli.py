@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +296,8 @@ class TestExitCodes:
         ["determinize", "crisp.json"],
         ["intersect", "det.json", "det2.json"],
         ["equiv", "crisp.json", "crisp.json"],
+        ["determinize", "classic_nfa.json"],
+        ["recompose", "levels.json"],
     ])
     def test_subset_and_product_budgets_exit_three(self, capsys, fixtures_dir, monkeypatch, argv):
         monkeypatch.setattr(hfa.constructions, "DEFAULT_MAX_VECTORS", 1)
@@ -403,3 +409,19 @@ class TestDeterminism:
         first = run(capsys, *resolved)
         second = run(capsys, *resolved)
         assert first == second
+
+
+def test_cold_start_loads_no_oracle_or_dataclasses():
+    """A fresh ``import hfa.cli`` leaves the oracle, and the modules
+    dataclasses would pull in, unloaded; modules the interpreter loaded
+    before the import do not count."""
+    script = (
+        "import sys; before = set(sys.modules); import hfa.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(hfa.constructions.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "hfa.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "hfa.oracle"}

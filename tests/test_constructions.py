@@ -6,6 +6,7 @@ import pytest
 from hfa import (
     AlphabetMismatch,
     ClosureBudgetExceeded,
+    Cdthfa,
     Cnthfa,
     LevelDecomposition,
     Nfa,
@@ -19,18 +20,22 @@ from hfa import (
     decompose,
     determinize_cnthfa,
     embed_cnthfa,
-    empirical_range,
     equivalent,
     eval_decomposition,
     intersect_cdthfa,
-    iter_words,
-    languages_agree_up_to,
     leq,
     level_automaton,
     reachable_vectors,
     recompose,
     sup_combination,
     union_nthfa,
+)
+from hfa.oracle import (
+    empirical_range,
+    iter_words,
+    languages_agree_up_to,
+    pairwise_inf,
+    reference_eval,
 )
 
 from support import (
@@ -43,6 +48,7 @@ from support import (
     random_cnthfa,
     random_nthfa,
     random_small_range_nthfa,
+    random_thfe,
     random_zero_one_nthfa,
 )
 
@@ -378,6 +384,80 @@ class TestEquivalent:
             steps.clear()
         # Inequivalent pairs stop early, so the total is strictly smaller.
         assert lazy < eager
+
+    def test_identical_operands_share_one_view(self, steps):
+        rng = random.Random(7)
+        for _ in range(6):
+            m = random_nthfa(rng, max_states=4, pool=farey_pool(10))
+        assert len(reachable_vectors(m)) == 362
+        assert len(steps) == 724  # one step per vector and symbol
+        steps.clear()
+        assert equivalent(m, m).equivalent
+        assert len(steps) == 724
+        steps.clear()
+        product = intersect_cdthfa(m, m)
+        assert len(steps) == 724
+        # The same pairs, names and values as the product with a copy.
+        copy = Nthfa(m.states, m.alphabet, m.psi, m.initial, m.final_map)
+        other = intersect_cdthfa(m, copy)
+        assert (product.states, product.delta, product.final_map) == (
+            other.states, other.delta, other.final_map)
+
+
+def _oracle_eval(x: Cnthfa | Cdthfa, w) -> Thfe:
+    """The literal path recursion on the {0}/{1} embedding of ``x``."""
+    return reference_eval(embed_cnthfa(x.as_cnthfa() if isinstance(x, Cdthfa) else x), w)
+
+
+class TestCrispConstructionsAgainstOracle:
+    """The subset and product views of crisp machines against the oracle's
+    path recursion, on every word up to length 4."""
+
+    def draws(self, rng: random.Random, count: int):
+        """Cnthfas, and every third a Cdthfa, over one alphabet."""
+        for i in range(count):
+            draw = random_cdthfa if i % 3 == 2 else random_cnthfa
+            yield draw(rng, max_states=3, alphabet=["a", "b"])
+
+    def test_determinize(self):
+        for x in self.draws(random.Random(11), 30):
+            d = determinize_cnthfa(x.as_cnthfa() if isinstance(x, Cdthfa) else x)
+            for w in iter_words(x.alphabet, 4):
+                assert d.eval(w) == _oracle_eval(x, w)
+
+    def test_intersect(self):
+        draws = list(self.draws(random.Random(12), 30))
+        for a, b in zip(draws, draws[1:]):
+            product = intersect_cdthfa(a, b)
+            for w in iter_words(a.alphabet, 4):
+                assert product.eval(w) == pairwise_inf(_oracle_eval(a, w), _oracle_eval(b, w))
+
+    def test_equivalent(self):
+        rng = random.Random(13)
+        verdicts = []
+        for x in self.draws(rng, 30):
+            n = x.as_cnthfa() if isinstance(x, Cdthfa) else x
+            # The same machine with renamed states in reverse order, and with
+            # one final value re-rolled, which may or may not show.
+            names = {q: f"r{q}" for q in n.states}
+            renamed = Cnthfa([names[q] for q in reversed(n.states)], n.alphabet,
+                             {(names[q], a): {names[p] for p in targets}
+                              for (q, a), targets in n.delta.items()},
+                             names[n.initial], {names[q]: v for q, v in n.final_map.items()})
+            perturbed = Cnthfa(n.states, n.alphabet, n.delta, n.initial,
+                               {**n.final_map, rng.choice(n.states): random_thfe(rng)})
+            y = random_cnthfa(rng, max_states=3, alphabet=["a", "b"])
+            for other in (renamed, perturbed, y):
+                verdict = equivalent(x, other)
+                verdicts.append(verdict.equivalent)
+                if verdict.equivalent:
+                    words = iter_words(x.alphabet, 4)
+                else:
+                    words = [verdict.counterexample]
+                for w in words:
+                    told_apart = _oracle_eval(x, w) != _oracle_eval(other, w)
+                    assert told_apart == (not verdict.equivalent)
+        assert 30 < verdicts.count(True) < len(verdicts)
 
 
 class TestConstantAutomaton:

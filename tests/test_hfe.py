@@ -21,6 +21,7 @@ from hfa import (
     sup_combination,
     sup_combination_n,
 )
+from hfa.hfe import DegreeCodec
 from hfa.oracle import pairwise_inf, pairwise_leq, pairwise_sup, pairwise_sup_n
 
 F = Fraction
@@ -205,6 +206,14 @@ class TestClosedFormsMatchDefinitions:
         assert result == Thfe(result.degrees)
         assert sup_combination_n(iter(family)) == result
 
+    @given(st.lists(thfes, max_size=5), st.lists(thfes, max_size=3))
+    def test_mask_join(self, family, others):
+        # The universe may hold degrees no member has, as it does when a
+        # machine's subset joins only some of its final values.
+        codec = DegreeCodec(family + others)
+        joined = codec.decode(codec.join(codec.encode(x) for x in family))
+        assert joined == sup_combination_n(family) == pairwise_sup_n(family)
+
     @given(thfes, thfes, st.booleans())
     def test_leq(self, x, y, lift):
         # Lifting y to a join above x makes the order hold often enough to
@@ -326,3 +335,20 @@ class TestGeneratedClosure:
         assert len(generated_closure(seed)) > 2
         with pytest.raises(ClosureBudgetExceeded):
             generated_closure(seed, max_size=2)
+
+
+class TestDegreeCodec:
+    @given(st.lists(thfes, max_size=5))
+    def test_decode_inverts_encode(self, values):
+        codec = DegreeCodec(values)
+        for x in [*values, ZERO, ONE]:
+            decoded = codec.decode(codec.encode(x))
+            assert decoded == x
+            assert decoded == Thfe(decoded.degrees)
+
+    def test_universe_is_sorted_and_holds_zero_and_one(self):
+        codec = DegreeCodec([Thfe(["1/2", "1/3"]), Thfe(["1/3"])])
+        assert codec.universe == (F(0), F(1, 3), F(1, 2), F(1))
+        assert codec.encode(ZERO) == 1
+        assert codec.encode(Thfe(["1/3", "1"])) == 0b1010
+        assert codec.join([]) == codec.encode(ZERO)

@@ -2,18 +2,15 @@ import random
 
 import pytest
 
-from hfa import (
-    AlphabetMismatch,
-    ONE,
-    Thfe,
-    ZERO,
+from hfa import AlphabetMismatch, ONE, Thfe, ZERO
+from hfa.errors import WordTooLong
+from hfa.oracle import (
     empirical_range,
     iter_words,
     languages_agree_up_to,
     reference_eval,
     reference_psi_hat,
 )
-from hfa.errors import WordTooLong
 
 from support import constant_automaton, perturb_nthfa, random_nthfa
 
