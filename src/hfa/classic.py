@@ -10,13 +10,21 @@ declared state, and one step ORs the successor masks of its members, which
 are built once per symbol at construction.  Subsets become frozensets of
 names only at the API boundary (``extended``) and get a name (subset_name)
 only when a construction names its states.
+
+The structural rules of every automaton kind live here, each written once as
+a checker that yields every break of its rule: the alphabet, the state list
+and initial state, declared names, and totality.  A constructor raises the
+first break (raise_first); the document parser reports them all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ClosureBudgetExceeded, IncompleteTransition, UnknownState, UnknownSymbol
+from .errors import (
+    ClosureBudgetExceeded, HfaError, IncompleteTransition, InvalidAutomaton, UnknownState,
+    UnknownSymbol,
+)
 
 __all__ = ["Dfa", "Nfa", "subset_name", "WORD_SEPARATOR"]
 
@@ -24,38 +32,86 @@ __all__ = ["Dfa", "Nfa", "subset_name", "WORD_SEPARATOR"]
 WORD_SEPARATOR = "."
 
 
-def check_alphabet(symbols: Sequence[str]) -> tuple[str, ...]:
-    symbols = tuple(symbols)
+def alphabet_errors(symbols: Sequence[str]) -> Iterator[HfaError]:
+    """Each break of the alphabet rules: it is non-empty, and its symbols are
+    distinct non-empty strings free of whitespace and WORD_SEPARATOR."""
     if not symbols:
-        raise ValueError("alphabet must be non-empty")
-    seen = set()
+        yield InvalidAutomaton("alphabet must be non-empty")
+    seen: set[str] = set()
     for s in symbols:
-        if not isinstance(s, str) or not s:
-            raise ValueError(f"alphabet symbol {s!r} must be a non-empty string")
-        if any(c.isspace() for c in s) or WORD_SEPARATOR in s:
-            raise ValueError(
-                f"alphabet symbol {s!r} may not contain whitespace or {WORD_SEPARATOR!r}"
-            )
-        if s in seen:
-            raise ValueError(f"duplicate alphabet symbol {s!r}")
-        seen.add(s)
-    return symbols
+        if not isinstance(s, str) or not s or any(c.isspace() for c in s) or WORD_SEPARATOR in s:
+            yield InvalidAutomaton(f"alphabet symbol {s!r} must be non-empty and free of "
+                                   f"whitespace and {WORD_SEPARATOR!r}")
+        elif s in seen:
+            yield InvalidAutomaton(f"duplicate alphabet symbol {s!r}")
+        else:
+            seen.add(s)
 
 
-def check_states(names: Sequence[str], initial: str) -> tuple[str, ...]:
-    names = tuple(names)
+def state_errors(names: Sequence[str]) -> Iterator[HfaError]:
+    """Each break of the state list rules: it is non-empty, and its names are
+    distinct non-empty strings."""
     if not names:
-        raise ValueError("state set must be non-empty")
-    seen = set()
+        yield InvalidAutomaton("state list must be non-empty")
+    seen: set[str] = set()
     for n in names:
         if not isinstance(n, str) or not n:
-            raise ValueError(f"state name {n!r} must be a non-empty string")
-        if n in seen:
-            raise ValueError(f"duplicate state name {n!r}")
-        seen.add(n)
-    if initial not in seen:
-        raise UnknownState(f"initial state {initial!r} is not a declared state")
-    return names
+            yield InvalidAutomaton("state names must be non-empty")
+        elif n in seen:
+            yield InvalidAutomaton(f"duplicate state name {n!r}")
+        else:
+            seen.add(n)
+
+
+def undeclared(
+    noun: str, names: Iterable[str], declared: Container[str], where: str = ""
+) -> Iterator[HfaError]:
+    """An UnknownSymbol (``noun`` "symbol") or UnknownState (``noun`` a state's
+    role: "state", "initial state", ...) for each of ``names`` not in
+    ``declared``, its message prefixed with ``where``."""
+    error = UnknownSymbol if noun == "symbol" else UnknownState
+    for name in names:
+        if name not in declared:
+            yield error(f"{where}{noun} {name!r} is not declared")
+
+
+def transition_errors(
+    key: tuple[str, ...], targets: Iterable[str], states: Container[str], alphabet: Container[str]
+) -> Iterator[HfaError]:
+    """The undeclared names of the transition ``key`` = (source, symbol, ...)
+    to ``targets``: the source, then the symbol, then each target."""
+    where = f"transition {key!r}: "
+    yield from undeclared("state", (key[0],), states, where)
+    yield from undeclared("symbol", (key[1],), alphabet, where)
+    yield from undeclared("state", targets, states, where)
+
+
+def totality_errors(
+    delta: Container[tuple[str, str]], states: Sequence[str], alphabet: Sequence[str]
+) -> Iterator[HfaError]:
+    """An IncompleteTransition for each (state, symbol) pair ``delta`` lacks."""
+    for q in states:
+        for a in alphabet:
+            if (q, a) not in delta:
+                yield IncompleteTransition(f"no transition for ({q!r}, {a!r})")
+
+
+def raise_first(errors: Iterable[HfaError]) -> None:
+    """How a constructor applies a checker: raise its first error, if any."""
+    for error in errors:
+        raise error
+
+
+def checked_header(
+    alphabet: Iterable[str], states: Iterable[str], initial: str
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The alphabet and the states as tuples, once they and the initial state
+    keep their rules, checked in the order of a document's header."""
+    alphabet, states = tuple(alphabet), tuple(states)
+    raise_first(alphabet_errors(alphabet))
+    raise_first(state_errors(states))
+    raise_first(undeclared("initial state", (initial,), states))
+    return alphabet, states
 
 
 class _View:
@@ -142,24 +198,16 @@ class Dfa:
         initial: str,
         finals: Iterable[str],
     ):
-        self.alphabet = check_alphabet(alphabet)
-        self.states = check_states(states, initial)
+        self.alphabet, self.states = checked_header(alphabet, states, initial)
         self.initial = initial
         self._state_set = frozenset(self.states)
-        self.finals = frozenset(finals)
-        for f in self.finals:
-            if f not in self._state_set:
-                raise UnknownState(f"final state {f!r} is not a declared state")
         self.delta = dict(delta)
         for (q, a), p in self.delta.items():
-            if q not in self._state_set or p not in self._state_set:
-                raise UnknownState(f"transition ({q!r}, {a!r}) -> {p!r} uses an unknown state")
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"transition from {q!r} uses unknown symbol {a!r}")
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise IncompleteTransition(f"no transition for ({q!r}, {a!r})")
+            if q not in self._state_set or a not in self.alphabet or p not in self._state_set:
+                raise_first(transition_errors((q, a), (p,), self._state_set, self.alphabet))
+        self.finals = frozenset(finals)
+        raise_first(undeclared("final state", self.finals, self._state_set))
+        raise_first(totality_errors(self.delta, self.states, self.alphabet))
 
     def extended(self, q: str, w: Sequence[str]) -> str:
         """Fold the transition function over ``w`` starting at ``q``."""
@@ -187,31 +235,23 @@ class Nfa:
         initial: str,
         finals: Iterable[str],
     ):
-        self.alphabet = check_alphabet(alphabet)
-        self.states = check_states(states, initial)
+        self.alphabet, self.states = checked_header(alphabet, states, initial)
         self.initial = initial
         # State name to its bit in subset masks.
-        self._position = {q: i for i, q in enumerate(self.states)}
-        self.finals = frozenset(finals)
-        for f in self.finals:
-            if f not in self._position:
-                raise UnknownState(f"final state {f!r} is not a declared state")
+        self._position = position = {q: i for i, q in enumerate(self.states)}
         self.delta: dict[tuple[str, str], frozenset[str]] = {}
         successors = {a: [0] * len(self.states) for a in self.alphabet}
         for (q, a), targets in delta.items():
-            if q not in self._position:
-                raise UnknownState(f"transition source {q!r} is not a declared state")
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"transition from {q!r} uses unknown symbol {a!r}")
             targets = frozenset(targets)
-            for p in targets:
-                if p not in self._position:
-                    raise UnknownState(f"transition target {p!r} is not a declared state")
+            if q not in position or a not in successors or not position.keys() >= targets:
+                raise_first(transition_errors((q, a), targets, position, self.alphabet))
             if targets:
                 self.delta[(q, a)] = targets
-                successors[a][self._position[q]] = self._mask(targets)
+                successors[a][position[q]] = self._mask(targets)
         # Per symbol, per state position: the mask of that state's successors.
         self._successors = {a: tuple(row) for a, row in successors.items()}
+        self.finals = frozenset(finals)
+        raise_first(undeclared("final state", self.finals, position))
 
     def _mask(self, states: Iterable[str]) -> int:
         """The subset mask of some declared states."""

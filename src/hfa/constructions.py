@@ -25,10 +25,10 @@ them.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .classic import Nfa, _pair_name, _View, subset_name
-from .errors import AlphabetMismatch
+from .classic import Nfa, _pair_name, _View, raise_first, subset_name
+from .errors import AlphabetMismatch, HfaError, InvalidAutomaton
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import (
     ONE, ZERO, DegreeCodec, Thfe, inf_combination, leq, sup_combination, sup_combination_n,
@@ -72,16 +72,24 @@ class LevelDecomposition:
     def __init__(self, alphabet: Sequence[str], levels: Iterable[tuple[Thfe, Nfa]]):
         self.alphabet = tuple(alphabet)
         self.levels = tuple(levels)
-        seen: set[Thfe] = set()
-        for key, nfa in self.levels:
-            if key in seen:
-                raise ValueError(f"duplicate level key {key}")
-            seen.add(key)
-            if set(nfa.alphabet) != set(self.alphabet):
-                raise AlphabetMismatch(
-                    f"level {key} uses alphabet {sorted(nfa.alphabet)}, "
-                    f"expected {sorted(self.alphabet)}"
-                )
+        raise_first(level_errors(self.alphabet, enumerate(self.levels)))
+
+
+def level_errors(
+    alphabet: Sequence[str], levels: Iterable[tuple[int, tuple[Thfe, Nfa]]]
+) -> Iterator[HfaError]:
+    """Every break of the level rules, each named by its level's number:
+    the keys are distinct, and each level NFA reads ``alphabet``."""
+    seen: set[Thfe] = set()
+    for i, (key, nfa) in levels:
+        if key in seen:
+            yield InvalidAutomaton(f"level {i}: duplicate level key {key}")
+        elif set(nfa.alphabet) != set(alphabet):
+            yield AlphabetMismatch(
+                f"level {i}: level alphabet {sorted(nfa.alphabet)} differs from "
+                f"decomposition alphabet {sorted(alphabet)}"
+            )
+        seen.add(key)
 
 
 def _require_same_alphabet(a, b) -> None:
@@ -189,8 +197,17 @@ def compute_range(m: Nthfa, max_vectors: int | None = None) -> frozenset[Thfe]:
     return frozenset(_materialize(_view(m), max_vectors).final_map.values())
 
 
-def _level_nfa(d: Cdthfa, key: Thfe) -> Nfa:
-    return d.as_cnthfa().as_nfa(q for q in d.states if leq(key, d.final_map[q]))
+def _level_nfas(d: Cdthfa, keys: Iterable[Thfe]) -> Iterator[tuple[Thfe, Nfa]]:
+    """Per key, the Nfa on the transitions of ``d`` whose final states are
+    those with a value that dominates the key; each distinct value is
+    compared with each key once."""
+    delta = {key: (p,) for key, p in d.delta.items()}
+    states_of: dict[Thfe, list[str]] = {}
+    for q, v in d.final_map.items():
+        states_of.setdefault(v, []).append(q)
+    for k in keys:
+        finals = [q for v, qs in states_of.items() if leq(k, v) for q in qs]
+        yield k, Nfa(d.states, d.alphabet, delta, d.initial, finals)
 
 
 def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
@@ -204,14 +221,14 @@ def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
     may dominate ``k`` although no single path does.  Tracking exact vectors
     sidesteps that entirely.
     """
-    return _level_nfa(_materialize(_view(m), max_vectors), k)
+    return next(_level_nfas(_materialize(_view(m), max_vectors), [k]))[1]
 
 
 def decompose(m: Nthfa, max_vectors: int | None = None) -> LevelDecomposition:
     """One level automaton per range value, keys sorted ascending."""
     d = _materialize(_view(m), max_vectors)
     keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
-    return LevelDecomposition(m.alphabet, ((k, _level_nfa(d, k)) for k in keys))
+    return LevelDecomposition(m.alphabet, _level_nfas(d, keys))
 
 
 def eval_decomposition(l: LevelDecomposition, w: Sequence[str]) -> Thfe:

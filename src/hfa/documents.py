@@ -15,6 +15,12 @@ of a decomposition included.  Fields are checked in one order for every
 kind: header, transitions, final, metadata.  A broken header ends the check;
 every later field is checked even when an earlier one failed.
 
+The structural rules live with the constructors, as checkers that yield
+every break (classic for headers, names and totality, hesitant for final
+maps, constructions for levels).  The parser adds the checks of JSON shape,
+reports every break that a rule's checker yields, and puts the position in
+front ("transition 3: ", "level 1: ").
+
 Parsing reports problems as Diagnostic values.  parse_document raises
 DocumentError when any error-level diagnostic occurs and otherwise returns
 the automaton together with the warnings (non-canonical spellings that were
@@ -25,13 +31,13 @@ diagnostics without raising.
 from __future__ import annotations
 
 import json
-from typing import Callable, Collection, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 
-from .classic import WORD_SEPARATOR, Dfa, Nfa
-from .constructions import LevelDecomposition
-from .errors import DegreeOutOfRange, HfaError, InvalidDegree
+from .classic import Dfa, Nfa, alphabet_errors, state_errors, totality_errors, undeclared
+from .constructions import LevelDecomposition, level_errors
+from .errors import DegreeOutOfRange, HfaError, InvalidAutomaton, InvalidDegree
 from .hesitant import Cdthfa, Cnthfa, Nthfa
-from .hfe import ZERO, Thfe, format_degree, parse_degree
+from .hfe import ZERO, Thfe, _trusted, format_degree, parse_degree
 
 __all__ = [
     "DFA_SINK_NAME",
@@ -114,6 +120,13 @@ class _Report:
     def warn(self, code: str, message: str) -> None:
         self.warnings.append(Diagnostic(code, self.prefix + message, severity="warning"))
 
+    def add(self, errors: Iterable[HfaError], where: str = "") -> None:
+        """Report each of ``errors`` after ``where``, coded by its class, or
+        InvalidDocument for a broken structural rule."""
+        for exc in errors:
+            code = "InvalidDocument" if isinstance(exc, InvalidAutomaton) else type(exc).__name__
+            self.error(code, where + exc.args[0])
+
 
 def parse_document(text: str) -> ParseResult:
     """Parse one document; raises DocumentError unless it is well-formed."""
@@ -157,59 +170,32 @@ def _parse(text: str) -> tuple[Automaton | None, _Report]:
     return (None, report) if report.errors else (automaton, report)
 
 
-def _string_list(raw: dict, key: str, report: _Report) -> list[str] | None:
+def _string_list(
+    raw: dict, key: str, report: _Report, rules: Callable = lambda names: ()
+) -> list[str] | None:
+    """Field ``key`` as an array of strings, each break of ``rules`` reported."""
     value = raw.get(key)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         report.error("InvalidDocument", f"field {key!r} must be an array of strings")
         return None
+    report.add(rules(value))
     return value
-
-
-def _check_alphabet_field(raw: dict, report: _Report) -> list[str] | None:
-    alphabet = _string_list(raw, "alphabet", report)
-    if alphabet is None:
-        return None
-    if not alphabet:
-        report.error("InvalidDocument", "alphabet must be non-empty")
-        return None
-    seen: set[str] = set()
-    for s in alphabet:
-        if not s or any(c.isspace() for c in s) or WORD_SEPARATOR in s:
-            report.error(
-                "InvalidDocument",
-                f"alphabet symbol {s!r} must be non-empty and free of "
-                f"whitespace and {WORD_SEPARATOR!r}",
-            )
-        elif s in seen:
-            report.error("InvalidDocument", f"duplicate alphabet symbol {s!r}")
-        seen.add(s)
-    return None if report.errors else alphabet
 
 
 def _check_header(
     raw: dict, report: _Report
 ) -> tuple[list[str], dict[str, int], str] | None:
     """Validate alphabet, states, and initial; shared by all automaton kinds."""
-    alphabet = _check_alphabet_field(raw, report)
-    states = _string_list(raw, "states", report)
+    alphabet = _string_list(raw, "alphabet", report, alphabet_errors)
+    states = _string_list(raw, "states", report, state_errors)
     initial = raw.get("initial")
-    if states is not None:
-        if not states:
-            report.error("InvalidDocument", "state list must be non-empty")
-        seen: set[str] = set()
-        for name in states:
-            if not name:
-                report.error("InvalidDocument", "state names must be non-empty")
-            elif name in seen:
-                report.error("InvalidDocument", f"duplicate state name {name!r}")
-            seen.add(name)
     if not isinstance(initial, str):
         report.error("InvalidDocument", "field 'initial' must be a string")
-    elif states is not None and initial not in states:
-        report.error("UnknownState", f"initial state {initial!r} is not declared")
+    elif states is not None:
+        report.add(undeclared("initial state", (initial,), states))
     if report.errors or alphabet is None or states is None:
         return None
-    return alphabet, {q: i for i, q in enumerate(states)}, str(initial)
+    return alphabet, {q: i for i, q in enumerate(states)}, initial
 
 
 def _warn_unknown_fields(raw: dict, known: tuple[str, ...], report: _Report) -> None:
@@ -225,7 +211,7 @@ def _parse_thfe(value, where: str, report: _Report) -> Thfe | None:
             f"{where}: a value must be a non-empty array of rational strings",
         )
         return None
-    degrees = []
+    degrees = set()
     ok = True
     for item in value:
         if not isinstance(item, str):
@@ -236,13 +222,14 @@ def _parse_thfe(value, where: str, report: _Report) -> Thfe | None:
             ok = False
             continue
         try:
-            degrees.append(parse_degree(item))
+            degrees.add(parse_degree(item))
         except (DegreeOutOfRange, InvalidDegree) as exc:
-            report.error(type(exc).__name__, f"{where}: {exc}")
+            report.add([exc], f"{where}: ")
             ok = False
     if not ok:
         return None
-    thfe = Thfe(degrees)
+    # Each degree is parsed once: the canonical tuple is wrapped as it is.
+    thfe = _trusted(tuple(sorted(degrees)))
     canonical = [format_degree(d) for d in thfe]
     if canonical != value:
         report.warn(
@@ -286,11 +273,11 @@ def _check_name(
     if not isinstance(name, str):
         report.error("InvalidDocument", f"{where}: field {key!r} must be a string")
         return None
-    if name not in declared:
-        code, noun = ("UnknownSymbol", "symbol") if key == "symbol" else ("UnknownState", "state")
-        report.error(code, f"{where}: {noun} {name!r} is not declared")
-        return None
-    return name
+    if name in declared:
+        return name
+    noun = "symbol" if key == "symbol" else "state"
+    report.add(undeclared(noun, (name,), declared, f"{where}: "))
+    return None
 
 
 def _parse_final_list(
@@ -299,11 +286,10 @@ def _parse_final_list(
     finals = _string_list(raw, "final", report)
     if finals is None:
         return None
+    report.add(undeclared("final state", finals, states))
     seen: set[str] = set()
     for name in finals:
-        if name not in states:
-            report.error("UnknownState", f"final state {name!r} is not declared")
-        elif name in seen:
+        if name in seen and name in states:
             report.warn("CanonicalizedValue", f"duplicate final state {name!r} merged")
         seen.add(name)
     return seen
@@ -319,7 +305,7 @@ def _parse_final_map(
     result: dict[str, Thfe] = {}
     for name, value in finals.items():
         if name not in states:
-            report.error("UnknownState", f"final map state {name!r} is not declared")
+            report.add(undeclared("final map state", (name,), states))
             continue
         thfe = _parse_thfe(value, f"final[{name!r}]", report)
         if thfe is None:
@@ -334,13 +320,11 @@ def _parse_final_map(
 
 
 def _build(factory: Callable[[], Automaton], report: _Report) -> Automaton | None:
-    # Classes re-validate; anything that still slips through becomes a diagnostic.
+    # The constructors apply the same rules; whatever they still raise is reported.
     try:
         return factory()
     except HfaError as exc:
-        report.error(type(exc).__name__, str(exc))
-    except ValueError as exc:
-        report.error("InvalidDocument", str(exc))
+        report.add([exc])
     return None
 
 
@@ -393,7 +377,8 @@ def _parse_transitions(
         value = _parse_thfe(row["value"], where, report) if kind.weighted else target
         if source is None or symbol is None or target is None or value is None:
             continue
-        if kind.multi_target and _undeclared_targets(target, states, where, report):
+        if kind.multi_target and not states.keys() >= set(target):
+            report.add(undeclared("state", target, states, f"{where}: "))
             continue
         key = (source, symbol, target) if kind.weighted else (source, symbol)
         if key in delta:
@@ -417,16 +402,6 @@ def _check_target_list(row: dict, where: str, report: _Report) -> list[str] | No
         return targets
     report.error("InvalidDocument", f"{where}: field 'to' must be an array of states")
     return None
-
-
-def _undeclared_targets(
-    targets: list[str], states: dict[str, int], where: str, report: _Report
-) -> bool:
-    """Report each target that is not a declared state; True if there is one."""
-    unknown = [t for t in targets if t not in states]
-    for t in unknown:
-        report.error("UnknownState", f"{where}: state {t!r} is not declared")
-    return bool(unknown)
 
 
 def _canonical_targets(
@@ -457,15 +432,12 @@ def _complete_delta(
 ) -> dict[str, int]:
     """The states of a single-target map once it is total: a cdthfa map must
     be total already, a partial dfa map gets the reserved dead state."""
+    if kind.hesitant:
+        for exc in totality_errors(delta, states, alphabet):
+            report.error("IncompleteTransition", f"{exc}; cdthfa documents must be total")
+        return states
     missing = [(q, a) for q in states for a in alphabet if (q, a) not in delta]
     if not missing:
-        return states
-    if kind.hesitant:
-        for q, a in missing:
-            report.error(
-                "IncompleteTransition",
-                f"no transition for ({q!r}, {a!r}); cdthfa documents must be total",
-            )
         return states
     if DFA_SINK_NAME in states:
         report.error(
@@ -494,15 +466,24 @@ def _parse_metadata(raw: dict, report: _Report) -> dict | None:
 
 def _parse_decomposition(raw: dict, report: _Report) -> LevelDecomposition | None:
     _warn_unknown_fields(raw, ("kind", "alphabet", "levels"), report)
-    alphabet = _check_alphabet_field(raw, report)
+    alphabet = _string_list(raw, "alphabet", report, alphabet_errors)
     rows = raw.get("levels")
     if not isinstance(rows, list):
         report.error("InvalidDocument", "field 'levels' must be an array")
         return None
-    if alphabet is None:
+    if report.errors:
         return None
     levels: list[tuple[Thfe, Nfa]] = []
-    seen: set[Thfe] = set()
+    # The level rules see each level as soon as it is parsed, so the
+    # diagnostics stay in level order.
+    report.add(level_errors(alphabet, _parse_levels(rows, levels, report)))
+    if report.errors:
+        return None
+    return _build(lambda: LevelDecomposition(alphabet, levels), report)
+
+
+def _parse_levels(rows: list, levels: list, report: _Report):
+    """Each parsed level as (its number, (key, nfa)), also added to ``levels``."""
     for i, row in enumerate(rows):
         where = f"level {i}"
         if not isinstance(row, dict) or "k" not in row or "nfa" not in row:
@@ -522,23 +503,9 @@ def _parse_decomposition(raw: dict, report: _Report) -> LevelDecomposition | Non
         nfa = _parse_automaton(_KINDS["nfa"], embedded, level)
         report.errors += level.errors
         report.warnings += level.warnings
-        if key is None or nfa is None:
-            continue
-        if key in seen:
-            report.error("InvalidDocument", f"{where}: duplicate level key {key}")
-            continue
-        seen.add(key)
-        if set(nfa.alphabet) != set(alphabet):
-            report.error(
-                "AlphabetMismatch",
-                f"{where}: level alphabet {sorted(nfa.alphabet)} differs from "
-                f"document alphabet {sorted(alphabet)}",
-            )
-            continue
-        levels.append((key, nfa))
-    if report.errors:
-        return None
-    return _build(lambda: LevelDecomposition(alphabet, levels), report)
+        if key is not None and nfa is not None:
+            levels.append((key, nfa))
+            yield i, (key, nfa)
 
 
 def _thfe_json(value: Thfe) -> list[str]:

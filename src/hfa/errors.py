@@ -17,6 +17,12 @@ class InvalidTHFE(HfaError, ValueError):
     """A typical hesitant fuzzy element violates its invariants (e.g. empty)."""
 
 
+class InvalidAutomaton(HfaError, ValueError):
+    """An automaton breaks a structural rule: an empty alphabet or state list,
+    an empty or repeated name, a symbol with whitespace or the word
+    separator, or a repeated level key."""
+
+
 class UnknownSymbol(HfaError, KeyError):
     """A word uses a symbol that is not in the automaton's alphabet."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .classic import Dfa, Nfa, check_alphabet, check_states
+from .classic import Dfa, Nfa, checked_header, raise_first, transition_errors, undeclared
 from .errors import UnknownState, UnknownSymbol
 from .hfe import ONE, ZERO, Thfe, inf_combination, sup_combination_n
 
@@ -36,10 +36,7 @@ def _total_final_map(
     states: Sequence[str], final_map: Mapping[str, Thfe | Iterable]
 ) -> dict[str, Thfe]:
     """The final map over every state, {0} where ``final_map`` is silent."""
-    declared = set(states)
-    for q in final_map:
-        if q not in declared:
-            raise UnknownState(f"final map mentions unknown state {q!r}")
+    raise_first(undeclared("final map state", final_map, set(states)))
     return {q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in states}
 
 
@@ -62,18 +59,15 @@ class Nthfa:
         final_map: Mapping[str, Thfe | Iterable],
         metadata: Mapping[str, object] | None = None,
     ):
-        self.alphabet = check_alphabet(alphabet)
-        self.states = check_states(states, initial)
+        self.alphabet, self.states = checked_header(alphabet, states, initial)
         self.initial = initial
         # State name to position in ``states``, which is also the position
         # in the kernel's vectors.
         self._index = {q: i for i, q in enumerate(self.states)}
         self.psi: dict[tuple[str, str, str], Thfe] = {}
         for (q, a, p), raw in psi.items():
-            if q not in self._index or p not in self._index:
-                raise UnknownState(f"transition ({q!r}, {a!r}, {p!r}) uses an unknown state")
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"transition from {q!r} uses unknown symbol {a!r}")
+            if q not in self._index or a not in self.alphabet or p not in self._index:
+                raise_first(transition_errors((q, a, p), (p,), self._index, self.alphabet))
             value = _as_thfe(raw)
             if value != ZERO:
                 self.psi[(q, a, p)] = value

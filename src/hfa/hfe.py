@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import ClosureBudgetExceeded, DegreeOutOfRange, InvalidDegree, InvalidTHFE
+from .errors import DegreeOutOfRange, InvalidDegree, InvalidTHFE
 
 __all__ = [
     "Thfe",
@@ -43,12 +43,7 @@ __all__ = [
     "sup_combination_n",
     "leq",
     "DegreeCodec",
-    "is_degenerate",
-    "generated_closure",
-    "DEFAULT_CLOSURE_BUDGET",
 ]
-
-DEFAULT_CLOSURE_BUDGET = 100_000
 
 _FRACTION_RE = re.compile(r"(\d+)/(\d+)\Z")
 _DECIMAL_RE = re.compile(r"(\d+)(?:\.(\d{1,18}))?\Z")
@@ -282,40 +277,3 @@ def leq(x: Thfe, y: Thfe) -> bool:
     if ys[0] < xs[0]:
         return False
     return len(_merge(ys, xs[bisect_left(xs, ys[0]):])) == len(ys)
-
-
-def is_degenerate(x: Thfe) -> bool:
-    """True iff x is a singleton, i.e. an embedded ordinary fuzzy degree."""
-    return len(x) == 1
-
-
-def generated_closure(
-    seed: Iterable[Thfe], max_size: int | None = None
-) -> frozenset[Thfe]:
-    """Smallest superset of ``seed`` closed under both combinations.
-
-    Worklist saturation: every new element is combined with everything known
-    so far.  Closure is finite because no combination introduces degrees
-    beyond those already present in the seed, but a configurable element
-    budget guards against mistakes instead of looping forever.
-    """
-    if max_size is None:
-        max_size = DEFAULT_CLOSURE_BUDGET
-    known: set[Thfe] = set()
-    frontier = list(dict.fromkeys(seed))
-    if not frontier:
-        raise InvalidTHFE("generated_closure requires a non-empty seed")
-    while frontier:
-        x = frontier.pop()
-        if x in known:
-            continue
-        known.add(x)
-        if len(known) > max_size:
-            raise ClosureBudgetExceeded(
-                f"closure exceeded {max_size} elements during saturation"
-            )
-        for y in list(known):
-            for combined in (inf_combination(x, y), sup_combination(x, y)):
-                if combined not in known:
-                    frontier.append(combined)
-    return frozenset(known)

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from hfa import Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, reachable_vectors, sup_combination
-from hfa.errors import ClosureBudgetExceeded
+from hfa import (
+    Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, inf_combination, reachable_vectors, sup_combination,
+)
+from hfa.errors import ClosureBudgetExceeded, InvalidTHFE
 
 # Small degree pool keeping THFE operations cheap and collisions likely.
 SMALL_POOL = tuple(Fraction(n, 4) for n in range(5))
@@ -195,3 +197,41 @@ def hyperbolic_language_eval(w: Sequence[str]) -> Thfe:
     """Value {1/(2^i + 1) : 0 <= i <= |w|}; a language whose range grows with
     the word length and therefore fits no finite-range machine."""
     return Thfe(Fraction(1, 2**i + 1) for i in range(len(w) + 1))
+
+
+DEFAULT_CLOSURE_BUDGET = 100_000
+
+
+def is_degenerate(x: Thfe) -> bool:
+    """True iff x is a singleton, i.e. an embedded ordinary fuzzy degree."""
+    return len(x) == 1
+
+
+def generated_closure(
+    seed: Iterable[Thfe], max_size: int = DEFAULT_CLOSURE_BUDGET
+) -> frozenset[Thfe]:
+    """Smallest superset of ``seed`` closed under both combinations.
+
+    Worklist saturation: every new element is combined with everything known
+    so far.  Closure is finite because no combination introduces degrees
+    beyond those already present in the seed, but an element budget guards
+    against mistakes instead of looping forever.
+    """
+    known: set[Thfe] = set()
+    frontier = list(dict.fromkeys(seed))
+    if not frontier:
+        raise InvalidTHFE("generated_closure requires a non-empty seed")
+    while frontier:
+        x = frontier.pop()
+        if x in known:
+            continue
+        known.add(x)
+        if len(known) > max_size:
+            raise ClosureBudgetExceeded(
+                f"closure exceeded {max_size} elements during saturation"
+            )
+        for y in list(known):
+            for combined in (inf_combination(x, y), sup_combination(x, y)):
+                if combined not in known:
+                    frontier.append(combined)
+    return frozenset(known)

@@ -13,9 +13,7 @@ from hfa import (
     InvalidTHFE,
     Thfe,
     format_degree,
-    generated_closure,
     inf_combination,
-    is_degenerate,
     leq,
     parse_degree,
     sup_combination,
@@ -23,6 +21,7 @@ from hfa import (
 )
 from hfa.hfe import DegreeCodec
 from hfa.oracle import pairwise_inf, pairwise_leq, pairwise_sup, pairwise_sup_n
+from support import generated_closure, is_degenerate
 
 F = Fraction
 
