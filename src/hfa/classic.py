@@ -26,10 +26,13 @@ from .errors import (
     UnknownSymbol,
 )
 
-__all__ = ["Dfa", "Nfa", "subset_name", "WORD_SEPARATOR"]
+__all__ = ["DEFAULT_MAX_VECTORS", "Dfa", "Nfa", "subset_name", "WORD_SEPARATOR"]
 
 # Reserved on the command line to separate multi-character symbols in a word.
 WORD_SEPARATOR = "."
+
+# The one exploration budget: the most states _View.explore may number.
+DEFAULT_MAX_VECTORS = 100_000
 
 
 def alphabet_errors(symbols: Sequence[str]) -> Iterator[HfaError]:
@@ -119,7 +122,9 @@ class _View:
     start state, a step, a value per state and, to name states, ``name``.
     States are numbered in the order ``step`` first returns them (the start
     is 0); each state's successors and value are computed once, and the
-    step that first reached a state is kept as its parent."""
+    step that first reached a state is kept as its parent.  Subset
+    constructions, the view each hesitant kind builds (its _view) and
+    products are all _Views; explore, the one BFS loop, bounds each one."""
 
     def __init__(self, alphabet: Sequence[str], start: Hashable,
                  step: Callable[[Hashable, str], Hashable], value: Callable,
@@ -146,22 +151,24 @@ class _View:
     def name(self, i: int) -> str:
         return self._name(i, self.states[i])
 
-    def explore(self, budget: int | None = None, stop: Callable | None = None) -> int | None:
+    def explore(self, stop: Callable | None = None) -> int | None:
         """Breadth-first search taking successors in alphabet order.
 
         The numbering, and every name derived from it, is reproducible, and
         following the parents back from a state spells its earliest access
-        word in length-then-alphabet order.  More than ``budget`` states raise
-        ClosureBudgetExceeded.  Returns the first state in number order that
-        satisfies ``stop``, or None once every reachable state is numbered.
+        word in length-then-alphabet order.  More than DEFAULT_MAX_VECTORS
+        states, as it reads at call time, raise ClosureBudgetExceeded.
+        Returns the first state in number order that satisfies ``stop``, or
+        None once every reachable state is numbered.
         """
+        budget = DEFAULT_MAX_VECTORS
         # ``states`` grows while it is iterated, which makes it the BFS queue.
         for i, _ in enumerate(self.states):
             if stop is not None and stop(i):
                 return i
             for a in self.alphabet:
                 self.step(i, a)
-                if budget is not None and len(self.states) > budget:
+                if len(self.states) > budget:
                     raise ClosureBudgetExceeded(f"more than {budget} reachable states")
         return None
 
@@ -294,18 +301,24 @@ class Nfa:
             subset ^= low
         return out
 
-    def to_dfa(self, max_states: int | None = None) -> Dfa:
+    def _subsets(self, value: Callable[[int], object]) -> _View:
+        """The subset construction as a view: the subset masks reachable
+        from {initial}, the empty one included, each valued by ``value`` and
+        named by subset_name."""
+        return _View(self.alphabet, self._mask([self.initial]), self._step, value,
+                     lambda i, s: subset_name(self._members(s)))
+
+    def to_dfa(self) -> Dfa:
         """Reachable-only subset construction.
 
         Subsets are discovered breadth-first in alphabet order and named
         canonically, so the result is reproducible.  The empty subset, when
         reachable, becomes an explicit non-final sink.  More than
-        ``max_states`` subsets raise ClosureBudgetExceeded.
+        DEFAULT_MAX_VECTORS subsets raise ClosureBudgetExceeded.
         """
         finals = self._mask(self.finals)
-        view = _View(self.alphabet, self._mask([self.initial]), self._step,
-                     lambda s: bool(s & finals))
-        view.explore(max_states)
-        names = [subset_name(self._members(s)) for s in view.states]
+        view = self._subsets(lambda s: bool(s & finals))
+        view.explore()
+        names = [view.name(i) for i in range(len(view.states))]
         accepting = [name for name, final in zip(names, view.values) if final]
         return Dfa(names, self.alphabet, view.named_delta(names), names[0], accepting)

@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import constructions
 from .classic import WORD_SEPARATOR, Dfa, Nfa
 from .constructions import (
     LevelDecomposition,
@@ -148,7 +147,7 @@ def _cmd_intersect(args) -> int:
 def _cmd_determinize(args) -> int:
     x = _load(args.file)
     if isinstance(x, Nfa):
-        _emit(x.to_dfa(constructions.DEFAULT_MAX_VECTORS))
+        _emit(x.to_dfa())
     elif isinstance(x, Cdthfa):
         _emit(determinize_cnthfa(x.as_cnthfa()))
     elif isinstance(x, Cnthfa):

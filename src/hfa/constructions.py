@@ -2,20 +2,20 @@
 level decomposition and recomposition, crisp embedding, crispification,
 determinization, intersection, and an exact equivalence decider.
 
-Every hesitant automaton has a deterministic view, a crisp, deterministic
-and total machine computing its language that is built only as far as it
-is read: an Nthfa's view steps between its finitely many reachable value
-vectors, a Cnthfa's between reachable subsets, and a Cdthfa is its own
-view.  The Nthfa's view is the forward weighted determinization of Mohri
-("Weighted automata algorithms", 2009), valid here only left to right,
-because distributivity and inf-monotonicity fail on multi-valued elements.
-Explored in full, a view is the vector automaton or the subset
-construction, which range computation, level cuts and crispification read.
-Intersection and equivalence explore the product of two views, so a vector
-or subset is computed only once the product reaches it, and equivalence
-stops at the first pair whose values differ.  Every exploration goes
-through _explore, the one place its state budget is set; the subset
-construction of a classical Nfa takes the same budget as an argument.
+Every hesitant automaton builds its deterministic view (its _view method),
+a crisp, deterministic and total machine computing its language that is
+built only as far as it is read: an Nthfa's view steps between its finitely
+many reachable value vectors, a Cnthfa's between reachable subsets, and a
+Cdthfa is its own view.  The Nthfa's view is the forward weighted
+determinization of Mohri ("Weighted automata algorithms", 2009), valid here
+only left to right, because distributivity and inf-monotonicity fail on
+multi-valued elements.  Explored in full, a view is the vector automaton or
+the subset construction, which range computation, level cuts and
+crispification read.  Intersection and equivalence explore the product of
+two views, so a vector or subset is computed only once the product reaches
+it, and equivalence stops at the first pair whose values differ.  Every
+exploration, the subset construction of a classical Nfa included, runs in
+classic._View.explore under the one budget classic.DEFAULT_MAX_VECTORS.
 
 decompose and recompose remain as the paper's construction of a machine
 from its level cuts; crispification and equivalence do not pass through
@@ -27,19 +27,15 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .classic import Nfa, _pair_name, _View, raise_first, subset_name
+from .classic import Nfa, _pair_name, _View, raise_first
 from .errors import AlphabetMismatch, HfaError, InvalidAutomaton
 from .hesitant import Cdthfa, Cnthfa, Nthfa
-from .hfe import (
-    ONE, ZERO, DegreeCodec, Thfe, inf_combination, leq, sup_combination, sup_combination_n,
-)
+from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
 
 __all__ = [
-    "DEFAULT_MAX_VECTORS",
     "EquivalenceVerdict",
     "LevelDecomposition",
     "union_nthfa",
-    "reachable_vectors",
     "compute_range",
     "level_automaton",
     "decompose",
@@ -51,8 +47,6 @@ __all__ = [
     "intersect_cdthfa",
     "equivalent",
 ]
-
-DEFAULT_MAX_VECTORS = 100_000
 
 
 class EquivalenceVerdict(NamedTuple):
@@ -123,34 +117,11 @@ def union_nthfa(m1: Nthfa, m2: Nthfa) -> Nthfa:
     return Nthfa(states, m1.alphabet, psi, fresh, final)
 
 
-def _view(x: Nthfa | Cnthfa | Cdthfa) -> _View:
-    """The deterministic view of a hesitant automaton: an Nthfa's value
-    vectors (named v0, v1, ...), a Cnthfa's subsets, a Cdthfa's own states.
-
-    A Cnthfa's subsets are the state masks of its Nfa, and its final values
-    are encoded once, so a subset's value joins the masks of its members and
-    is decoded to a Thfe only as the view's value."""
-    if isinstance(x, Cdthfa):
-        return _View(x.alphabet, x.initial, lambda q, a: x.delta[(q, a)],
-                     x.final_map.__getitem__, lambda i, q: q)
-    if isinstance(x, Cnthfa):
-        nfa, codec = x._machine, DegreeCodec(x.final_map.values())
-        finals = [codec.encode(f) for f in x.final_map.values()]  # in state order
-        return _View(
-            x.alphabet, nfa._mask([x.initial]), nfa._step,
-            lambda s: codec.decode(codec.join(f for i, f in enumerate(finals) if s >> i & 1)),
-            lambda i, s: subset_name(nfa._members(s)),
-        )
-    if isinstance(x, Nthfa):
-        return _View(x.alphabet, x._start, x._step, x._value, lambda i, v: f"v{i}")
-    raise TypeError(f"not a hesitant automaton: {type(x).__name__}")
-
-
 def _views(a, b) -> tuple[_View, _View]:
     """The views of two operands; one view serves both when they are the
     same object, so its states are computed once."""
-    va = _view(a)
-    return va, (va if b is a else _view(b))
+    va = a._view()
+    return va, (va if b is a else b._view())
 
 
 def _product(v1: _View, v2: _View, combine: Callable) -> _View:
@@ -164,37 +135,22 @@ def _product(v1: _View, v2: _View, combine: Callable) -> _View:
     )
 
 
-def _explore(
-    view: _View, max_vectors: int | None = None, stop: Callable | None = None
-) -> int | None:
-    """Explore a view breadth-first; the one place a budget is chosen.  More
-    than ``max_vectors`` states, by default DEFAULT_MAX_VECTORS as it reads
-    at call time, raise ClosureBudgetExceeded."""
-    return view.explore(DEFAULT_MAX_VECTORS if max_vectors is None else max_vectors, stop)
-
-
-def _materialize(view: _View, max_vectors: int | None = None) -> Cdthfa:
+def _materialize(view: _View) -> Cdthfa:
     """All reachable states of a view as a Cdthfa.  For an Nthfa that is its
     vector automaton: each final value is the machine value of its vector,
     so every word evaluates exactly as under the Nthfa."""
-    _explore(view, max_vectors)
+    view.explore()
     names = [view.name(i) for i in range(len(view.states))]
     final = dict(zip(names, view.values))
     return Cdthfa(names, view.alphabet, view.named_delta(names), names[0], final)
 
 
-def reachable_vectors(
-    m: Nthfa, max_vectors: int | None = None
-) -> list[dict[str, Thfe]]:
-    """All value vectors the machine can reach, in discovery order."""
-    view = _view(m)
-    _explore(view, max_vectors)
-    return [dict(zip(m.states, vector)) for vector in view.states]
-
-
-def compute_range(m: Nthfa, max_vectors: int | None = None) -> frozenset[Thfe]:
-    """The exact set of values the language attains over all words."""
-    return frozenset(_materialize(_view(m), max_vectors).final_map.values())
+def compute_range(m: Nthfa) -> frozenset[Thfe]:
+    """The exact set of values the language attains over all words: the
+    values of the machine's reachable vectors."""
+    view = m._view()
+    view.explore()
+    return frozenset(view.values)
 
 
 def _level_nfas(d: Cdthfa, keys: Iterable[Thfe]) -> Iterator[tuple[Thfe, Nfa]]:
@@ -210,7 +166,7 @@ def _level_nfas(d: Cdthfa, keys: Iterable[Thfe]) -> Iterator[tuple[Thfe, Nfa]]:
         yield k, Nfa(d.states, d.alphabet, delta, d.initial, finals)
 
 
-def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
+def level_automaton(m: Nthfa, k: Thfe) -> Nfa:
     """NFA accepting exactly the words whose value dominates ``k``.
 
     Built on the vector automaton: states are the reachable value vectors,
@@ -221,12 +177,12 @@ def level_automaton(m: Nthfa, k: Thfe, max_vectors: int | None = None) -> Nfa:
     may dominate ``k`` although no single path does.  Tracking exact vectors
     sidesteps that entirely.
     """
-    return next(_level_nfas(_materialize(_view(m), max_vectors), [k]))[1]
+    return next(_level_nfas(_materialize(m._view()), [k]))[1]
 
 
-def decompose(m: Nthfa, max_vectors: int | None = None) -> LevelDecomposition:
+def decompose(m: Nthfa) -> LevelDecomposition:
     """One level automaton per range value, keys sorted ascending."""
-    d = _materialize(_view(m), max_vectors)
+    d = _materialize(m._view())
     keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
     return LevelDecomposition(m.alphabet, _level_nfas(d, keys))
 
@@ -246,7 +202,7 @@ def recompose(l: LevelDecomposition) -> Nthfa:
     """
     machines: list[Nthfa] = []
     for key, nfa in l.levels:
-        dfa = nfa.to_dfa(DEFAULT_MAX_VECTORS)
+        dfa = nfa.to_dfa()
         psi = {(q, a, p): ONE for (q, a), p in dfa.delta.items()}
         final = {q: (key if q in dfa.finals else ZERO) for q in dfa.states}
         machines.append(Nthfa(dfa.states, dfa.alphabet, psi, dfa.initial, final))
@@ -280,7 +236,7 @@ def _crispify_zero_one(m: Nthfa) -> Cnthfa:
     return Cnthfa(states, m.alphabet, delta, m.initial, {**m.final_map, sink: ZERO})
 
 
-def crispify_nthfa(m: Nthfa, max_vectors: int | None = None) -> Cnthfa:
+def crispify_nthfa(m: Nthfa) -> Cnthfa:
     """Convert an Nthfa to a crisp-nondeterministic machine, preserving the
     language pointwise.
 
@@ -293,7 +249,7 @@ def crispify_nthfa(m: Nthfa, max_vectors: int | None = None) -> Cnthfa:
     """
     if m.is_zero_one():
         return _crispify_zero_one(m)
-    crisp = _materialize(_view(m), max_vectors).as_cnthfa()
+    crisp = _materialize(m._view()).as_cnthfa()
     crisp.metadata = {"normalized": True}
     return crisp
 
@@ -305,7 +261,7 @@ def determinize_cnthfa(n: Cnthfa) -> Cdthfa:
     value is the join of its members' final values, and the empty subset
     (reachable when the crisp transition map is partial) gets {0}.
     """
-    return _materialize(_view(n))
+    return _materialize(n._view())
 
 
 def intersect_cdthfa(a, b) -> Cdthfa:
@@ -318,7 +274,7 @@ def intersect_cdthfa(a, b) -> Cdthfa:
     return _materialize(_product(*_views(a, b), inf_combination))
 
 
-def equivalent(a, b, max_vectors: int | None = None) -> EquivalenceVerdict:
+def equivalent(a, b) -> EquivalenceVerdict:
     """Decide whether two hesitant automata compute the same language.
 
     The synchronized product of the two deterministic views (an Nthfa's
@@ -332,7 +288,7 @@ def equivalent(a, b, max_vectors: int | None = None) -> EquivalenceVerdict:
     """
     _require_same_alphabet(a, b)
     pairs = _product(*_views(a, b), lambda x, y: x != y)
-    i = _explore(pairs, max_vectors, stop=pairs.values.__getitem__)
+    i = pairs.explore(stop=pairs.values.__getitem__)
     if i is None:
         return EquivalenceVerdict(equivalent=True, counterexample=None)
     word: list[str] = []

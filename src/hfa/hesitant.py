@@ -15,11 +15,12 @@ entry is not {0} and one n-ary join per state.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import functools
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .classic import Dfa, Nfa, checked_header, raise_first, transition_errors, undeclared
+from .classic import Dfa, Nfa, _View, checked_header, raise_first, transition_errors, undeclared
 from .errors import UnknownState, UnknownSymbol
-from .hfe import ONE, ZERO, Thfe, inf_combination, sup_combination_n
+from .hfe import ONE, ZERO, DegreeCodec, Thfe, inf_combination, sup_combination_n
 
 __all__ = ["Nthfa", "Cnthfa", "Cdthfa"]
 
@@ -164,6 +165,10 @@ class Nthfa:
             vector = self._step(vector, a)
         return self._value(vector)
 
+    def _view(self) -> _View:
+        """The reachable value vectors, named v0, v1, ..., valued like eval."""
+        return _View(self.alphabet, self._start, self._step, self._value, lambda i, v: f"v{i}")
+
 
 class _Crisp:
     """Shared by the crisp kinds: the transitions form a classical automaton,
@@ -201,13 +206,25 @@ class Cnthfa(_Crisp):
         """The underlying crisp NFA, with the given final states."""
         return Nfa(self.states, self.alphabet, self.delta, self.initial, finals)
 
-    def reachable(self, w: Sequence[str]) -> frozenset[str]:
-        return self._machine.extended(self.initial, w)
+    @functools.cached_property
+    def _subset_value(self) -> Callable[[int], Thfe]:
+        """The value of a subset mask: the join of its members' final values,
+        which are encoded once, so the join runs on codec masks."""
+        codec = DegreeCodec(self.final_map.values())
+        finals = [codec.encode(f) for f in self.final_map.values()]  # in state order
+        return lambda s: codec.decode(codec.join(f for i, f in enumerate(finals) if s >> i & 1))
 
     def eval(self, w: Sequence[str]) -> Thfe:
         """Join of the final values over all states the crisp run reaches."""
-        reached = self.reachable(w)
-        return sup_combination_n(self.final_map[q] for q in self.states if q in reached)
+        nfa = self._machine
+        subset = nfa._mask([self.initial])
+        for a in w:
+            subset = nfa._step(subset, a)
+        return self._subset_value(subset)
+
+    def _view(self) -> _View:
+        """The subsets reachable from {initial}, named by subset_name."""
+        return self._machine._subsets(self._subset_value)
 
 
 class Cdthfa(_Crisp):
@@ -222,6 +239,11 @@ class Cdthfa(_Crisp):
 
     def eval(self, w: Sequence[str]) -> Thfe:
         return self.final_map[self.extended(self.initial, w)]
+
+    def _view(self) -> _View:
+        """The machine itself, its states under their own names."""
+        return _View(self.alphabet, self.initial, lambda q, a: self.delta[(q, a)],
+                     self.final_map.__getitem__, lambda i, q: q)
 
     def as_cnthfa(self) -> Cnthfa:
         """View with each deterministic target wrapped as a singleton set."""

@@ -10,9 +10,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from hfa import (
-    Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, inf_combination, reachable_vectors, sup_combination,
-)
+from hfa import Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, inf_combination, sup_combination
 from hfa.errors import ClosureBudgetExceeded, InvalidTHFE
 
 # Small degree pool keeping THFE operations cheap and collisions likely.
@@ -148,12 +146,17 @@ def random_small_range_nthfa(
         m = random_nthfa(
             rng, max_states=2, max_symbols=2, pool=TIGHT_POOL, max_cardinality=2
         )
-        try:
-            count = len(reachable_vectors(m, max_vectors=max_vectors))
-        except ClosureBudgetExceeded:
-            continue
-        return m, count
+        count = len(reachable_vectors(m))
+        if count <= max_vectors:
+            return m, count
     raise RuntimeError(f"no machine with at most {max_vectors} vectors found")
+
+
+def reachable_vectors(m: Nthfa) -> list[dict[str, Thfe]]:
+    """All value vectors the machine can reach, in discovery order."""
+    view = m._view()
+    view.explore()
+    return [dict(zip(m.states, vector)) for vector in view.states]
 
 
 def perturb_nthfa(rng: random.Random, m: Nthfa) -> Nthfa:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hfa import Dfa, Nfa, UnknownState, UnknownSymbol, subset_name
+import hfa.classic
+from hfa import Cnthfa, Dfa, Nfa, UnknownState, UnknownSymbol, determinize_cnthfa, subset_name
 from hfa.errors import ClosureBudgetExceeded, IncompleteTransition
 
 from support import random_cnthfa
@@ -126,11 +127,24 @@ class TestSubsetConstruction:
             for w in words:
                 assert n.accepts(w) == d.accepts(w)
 
-    def test_to_dfa_budget(self):
+    def test_to_dfa_budget(self, monkeypatch):
         n = ends_in_ab_nfa()
-        assert len(n.to_dfa(3).states) == 3
+        monkeypatch.setattr(hfa.classic, "DEFAULT_MAX_VECTORS", 3)
+        assert len(n.to_dfa().states) == 3
+        monkeypatch.setattr(hfa.classic, "DEFAULT_MAX_VECTORS", 2)
         with pytest.raises(ClosureBudgetExceeded, match="more than 2 reachable states"):
-            n.to_dfa(2)
+            n.to_dfa()
+
+    def test_to_dfa_is_bounded_by_default(self, monkeypatch):
+        # One budget, read when a construction runs, bounds the subsets of an
+        # Nfa and of a Cnthfa on the same transitions alike.
+        n = ends_in_ab_nfa()
+        monkeypatch.setattr(hfa.classic, "DEFAULT_MAX_VECTORS", 2)
+        with pytest.raises(ClosureBudgetExceeded):
+            n.to_dfa()
+        crisp = Cnthfa(n.states, n.alphabet, n.delta, n.initial, {})
+        with pytest.raises(ClosureBudgetExceeded, match="more than 2 reachable states"):
+            determinize_cnthfa(crisp)
 
     def test_to_dfa_is_deterministic(self):
         a = ends_in_ab_nfa().to_dfa()

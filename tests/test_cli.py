@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import hfa.constructions
+import hfa.classic
 from hfa import Thfe, parse_document
 from hfa.cli import main
 
@@ -287,7 +287,7 @@ class TestOracleCheck:
 
 class TestExitCodes:
     def test_budget_exhaustion_exits_three(self, capsys, fixtures_dir, monkeypatch):
-        monkeypatch.setattr(hfa.constructions, "DEFAULT_MAX_VECTORS", 1)
+        monkeypatch.setattr(hfa.classic, "DEFAULT_MAX_VECTORS", 1)
         code, _, err = run(capsys, "range", fx(fixtures_dir, "m1.json"))
         assert code == 3
         assert err.startswith("closure-budget-exceeded:")
@@ -300,7 +300,7 @@ class TestExitCodes:
         ["recompose", "levels.json"],
     ])
     def test_subset_and_product_budgets_exit_three(self, capsys, fixtures_dir, monkeypatch, argv):
-        monkeypatch.setattr(hfa.constructions, "DEFAULT_MAX_VECTORS", 1)
+        monkeypatch.setattr(hfa.classic, "DEFAULT_MAX_VECTORS", 1)
         paths = [fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv]
         code, out, err = run(capsys, *paths)
         assert (code, out) == (3, "")
@@ -419,7 +419,7 @@ def test_cold_start_loads_no_oracle_or_dataclasses():
         "import sys; before = set(sys.modules); import hfa.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    src = str(Path(hfa.constructions.__file__).parents[1])
+    src = str(Path(hfa.classic.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     loaded = set(done.stdout.split())

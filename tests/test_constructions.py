@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import hfa.classic
 from hfa import (
     AlphabetMismatch,
     ClosureBudgetExceeded,
@@ -14,6 +15,7 @@ from hfa import (
     inf_combination,
     ONE,
     Thfe,
+    UnknownSymbol,
     ZERO,
     compute_range,
     crispify_nthfa,
@@ -25,7 +27,6 @@ from hfa import (
     intersect_cdthfa,
     leq,
     level_automaton,
-    reachable_vectors,
     recompose,
     sup_combination,
     union_nthfa,
@@ -50,6 +51,7 @@ from support import (
     random_small_range_nthfa,
     random_thfe,
     random_zero_one_nthfa,
+    reachable_vectors,
 )
 
 F = Fraction
@@ -90,10 +92,11 @@ class TestReachableVectors:
         assert vectors[2] == {"q0": ZERO, "q1": ZERO}
         assert len(vectors) == 3
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         m = constant_automaton(Thfe(["1/2"]), ["a"])
+        monkeypatch.setattr(hfa.classic, "DEFAULT_MAX_VECTORS", 1)
         with pytest.raises(ClosureBudgetExceeded):
-            reachable_vectors(m, max_vectors=1)
+            reachable_vectors(m)
 
     def test_range_equals_bounded_enumeration(self):
         rng = random.Random(43)
@@ -418,6 +421,20 @@ class TestCrispConstructionsAgainstOracle:
         for i in range(count):
             draw = random_cdthfa if i % 3 == 2 else random_cnthfa
             yield draw(rng, max_states=3, alphabet=["a", "b"])
+
+    def test_eval(self):
+        empty = 0
+        for x in self.draws(random.Random(10), 30):
+            for w in iter_words(x.alphabet, 4):
+                assert x.eval(w) == _oracle_eval(x, w)
+                if isinstance(x, Cnthfa):
+                    empty += not x.as_nfa().extended(x.initial, w)
+        # Some runs reach the empty subset, whose value is {0}.
+        assert empty
+        n = random_cnthfa(random.Random(10), max_states=3, alphabet=["a", "b"])
+        with pytest.raises(UnknownSymbol) as excinfo:
+            n.eval(["a", "z"])
+        assert excinfo.value.args == ("unknown symbol 'z'",)
 
     def test_determinize(self):
         for x in self.draws(random.Random(11), 30):

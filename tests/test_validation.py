@@ -60,7 +60,6 @@ def test_constructor_raises_the_first_diagnostic(header):
 # Built-in exceptions that src/hfa may raise, by file and enclosing function:
 # programming errors and the immutability of Thfe, never bad input.
 ALLOWED_BUILTIN_RAISES = {
-    ("constructions.py", "_view", "TypeError"),
     ("documents.py", "_document_of", "TypeError"),
     ("hfe.py", "Thfe.__setattr__", "AttributeError"),
     ("__main__.py", "", "SystemExit"),
