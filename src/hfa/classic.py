@@ -189,9 +189,9 @@ def subset_name(members: Iterable[str]) -> str:
     return "{" + ",".join(_escape(m) for m in sorted(members)) + "}"
 
 
-def _pair_name(pair: tuple[str, str]) -> str:
-    """Name of a product state, "(q,p)", escaped like subset names."""
-    return f"({_escape(pair[0])},{_escape(pair[1])})"
+def _product_name(names: Iterable[str]) -> str:
+    """Name of a product state, "(q,p,...)", escaped like subset names."""
+    return "(" + ",".join(map(_escape, names)) + ")"
 
 
 class Dfa:
@@ -260,6 +260,12 @@ class Nfa:
         self.finals = frozenset(finals)
         raise_first(undeclared("final state", self.finals, position))
 
+    def _with_finals(self, finals: Iterable[str]) -> Nfa:
+        """This machine with other (declared) final states, sharing its tables."""
+        nfa = object.__new__(Nfa)
+        nfa.__dict__.update(self.__dict__, finals=frozenset(finals))
+        return nfa
+
     def _mask(self, states: Iterable[str]) -> int:
         """The subset mask of some declared states."""
         mask = 0
@@ -308,6 +314,11 @@ class Nfa:
         return _View(self.alphabet, self._mask([self.initial]), self._step, value,
                      lambda i, s: subset_name(self._members(s)))
 
+    def _accepting_subsets(self) -> _View:
+        """The subset construction, each subset valued by whether it accepts."""
+        finals = self._mask(self.finals)
+        return self._subsets(lambda s: bool(s & finals))
+
     def to_dfa(self) -> Dfa:
         """Reachable-only subset construction.
 
@@ -316,8 +327,7 @@ class Nfa:
         reachable, becomes an explicit non-final sink.  More than
         DEFAULT_MAX_VECTORS subsets raise ClosureBudgetExceeded.
         """
-        finals = self._mask(self.finals)
-        view = self._subsets(lambda s: bool(s & finals))
+        view = self._accepting_subsets()
         view.explore()
         names = [view.name(i) for i in range(len(view.states))]
         accepting = [name for name, final in zip(names, view.values) if final]

@@ -286,53 +286,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, *positionals: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = add("eval", _cmd_eval, "evaluate a word; prints a THFE or accept/reject")
-    p.add_argument("file")
+    p = add("eval", _cmd_eval, "evaluate a word; prints a THFE or accept/reject", "file")
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--lambda", dest="lambda_", action="store_true", help="evaluate the empty word")
 
-    p = add("union", _cmd_union, "pointwise join of two hesitant automata")
-    p.add_argument("left")
-    p.add_argument("right")
+    add("union", _cmd_union, "pointwise join of two hesitant automata", "left", "right")
+    add("intersect", _cmd_intersect, "pointwise inf-combination of two hesitant automata",
+        "left", "right")
+    add("determinize", _cmd_determinize, "subset construction (nfa, cnthfa, or cdthfa input)",
+        "file")
+    add("crispify", _cmd_crispify, "convert an nthfa to crisp transitions", "file")
+    add("embed", _cmd_embed, "view a crisp automaton as an nthfa with {0}/{1} weights", "file")
 
-    p = add("intersect", _cmd_intersect, "pointwise inf-combination of two hesitant automata")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("determinize", _cmd_determinize, "subset construction (nfa, cnthfa, or cdthfa input)")
-    p.add_argument("file")
-
-    p = add("crispify", _cmd_crispify, "convert an nthfa to crisp transitions")
-    p.add_argument("file")
-
-    p = add("embed", _cmd_embed, "view a crisp automaton as an nthfa with {0}/{1} weights")
-    p.add_argument("file")
-
-    p = add("decompose", _cmd_decompose, "level-cut decomposition of a hesitant automaton")
-    p.add_argument("file")
+    p = add("decompose", _cmd_decompose, "level-cut decomposition of a hesitant automaton", "file")
     p.add_argument("-o", "--output-dir", default=None, help="write manifest and per-level files here")
 
-    p = add("recompose", _cmd_recompose, "rebuild an nthfa from a decomposition document")
-    p.add_argument("file")
-
-    p = add("range", _cmd_range, "all values the language attains, one per line, ascending")
-    p.add_argument("file")
-
-    p = add("equiv", _cmd_equiv, "decide language equality of two hesitant automata")
-    p.add_argument("left")
-    p.add_argument("right")
+    add("recompose", _cmd_recompose, "rebuild an nthfa from a decomposition document", "file")
+    add("range", _cmd_range, "all values the language attains, one per line, ascending", "file")
+    add("equiv", _cmd_equiv, "decide language equality of two hesitant automata", "left", "right")
 
     p = add("validate", _cmd_validate, "check documents; prints diagnostics")
     p.add_argument("files", nargs="+")
 
     p = add("oracle-check", _cmd_oracle_check,
-            "compare against the brute-force reference (one file) or compare two machines word by word")
-    p.add_argument("left")
+            "compare against the brute-force reference (one file) or compare two machines word by word",
+            "left")
     p.add_argument("right", nargs="?", default=None)
     p.add_argument("-l", "--length", type=_length, default=None, help="maximum word length")
     return parser

@@ -11,23 +11,23 @@ determinization of Mohri ("Weighted automata algorithms", 2009), valid here
 only left to right, because distributivity and inf-monotonicity fail on
 multi-valued elements.  Explored in full, a view is the vector automaton or
 the subset construction, which range computation, level cuts and
-crispification read.  Intersection and equivalence explore the product of
-two views, so a vector or subset is computed only once the product reaches
-it, and equivalence stops at the first pair whose values differ.  Every
-exploration, the subset construction of a classical Nfa included, runs in
-classic._View.explore under the one budget classic.DEFAULT_MAX_VECTORS.
+crispification read.  Intersection, equivalence and recomposition explore
+a product of views, so a vector or subset is computed only once the
+product reaches it, and equivalence stops at the first pair whose values
+differ.  Every exploration, the subset construction of a classical Nfa
+included, runs in classic._View.explore under the one budget
+classic.DEFAULT_MAX_VECTORS.
 
-decompose and recompose remain as the paper's construction of a machine
-from its level cuts; crispification and equivalence do not pass through
-them.
+recompose is the paper's construction of a machine from its level cuts:
+one product of the levels' subset constructions.  Crispification and
+equivalence pass through neither it nor decompose.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .classic import Nfa, _pair_name, _View, raise_first
+from .classic import Nfa, _product_name, _View, raise_first
 from .errors import AlphabetMismatch, HfaError, InvalidAutomaton
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
@@ -37,7 +37,6 @@ __all__ = [
     "LevelDecomposition",
     "union_nthfa",
     "compute_range",
-    "level_automaton",
     "decompose",
     "eval_decomposition",
     "recompose",
@@ -124,14 +123,17 @@ def _views(a, b) -> tuple[_View, _View]:
     return va, (va if b is a else b._view())
 
 
-def _product(v1: _View, v2: _View, combine: Callable) -> _View:
-    """The synchronized product of two views on pairs of their state
-    numbers; a pair's value combines the values of its two states."""
+def _product(alphabet: Sequence[str], views: Sequence[_View], combine: Callable,
+             name: Callable[[int, tuple], str] | None = None) -> _View:
+    """The synchronized product of any number of views over ``alphabet``,
+    on tuples of their state numbers.  A tuple's value is ``combine`` over
+    the values of its states, and its name is "(q,p,...)" after theirs
+    unless ``name`` names it.  The product of no views has one state."""
     return _View(
-        v1.alphabet, (0, 0),
-        lambda pair, a: (v1.step(pair[0], a), v2.step(pair[1], a)),
-        lambda pair: combine(v1.values[pair[0]], v2.values[pair[1]]),
-        lambda i, pair: _pair_name((v1.name(pair[0]), v2.name(pair[1]))),
+        alphabet, (0,) * len(views),
+        lambda t, a: tuple([v.step(i, a) for v, i in zip(views, t)]),
+        lambda t: combine(*[v.values[i] for v, i in zip(views, t)]),
+        name or (lambda i, t: _product_name([v.name(j) for v, j in zip(views, t)])),
     )
 
 
@@ -155,33 +157,22 @@ def compute_range(m: Nthfa) -> frozenset[Thfe]:
 
 def _level_nfas(d: Cdthfa, keys: Iterable[Thfe]) -> Iterator[tuple[Thfe, Nfa]]:
     """Per key, the Nfa on the transitions of ``d`` whose final states are
-    those with a value that dominates the key; each distinct value is
-    compared with each key once."""
-    delta = {key: (p,) for key, p in d.delta.items()}
+    those with a value that dominates the key; the levels share one
+    transition table, and each distinct value is compared with each key
+    once."""
+    nfa = Nfa(d.states, d.alphabet, {key: (p,) for key, p in d.delta.items()}, d.initial, ())
     states_of: dict[Thfe, list[str]] = {}
     for q, v in d.final_map.items():
         states_of.setdefault(v, []).append(q)
     for k in keys:
         finals = [q for v, qs in states_of.items() if leq(k, v) for q in qs]
-        yield k, Nfa(d.states, d.alphabet, delta, d.initial, finals)
-
-
-def level_automaton(m: Nthfa, k: Thfe) -> Nfa:
-    """NFA accepting exactly the words whose value dominates ``k``.
-
-    Built on the vector automaton: states are the reachable value vectors,
-    and a vector is final when its machine value dominates ``k``.  Cutting
-    individual transition weights at ``k`` instead would not recognize this
-    language: a word's value is a join over many paths, and the order is not
-    compatible with inf-combination on multi-valued elements, so the value
-    may dominate ``k`` although no single path does.  Tracking exact vectors
-    sidesteps that entirely.
-    """
-    return next(_level_nfas(_materialize(m._view()), [k]))[1]
+        yield k, nfa._with_finals(finals)
 
 
 def decompose(m: Nthfa) -> LevelDecomposition:
-    """One level automaton per range value, keys sorted ascending."""
+    """One level automaton per range value, keys sorted ascending: the
+    vector automaton with the vectors whose value dominates the key final
+    (a word's value is a join over paths; no single path need dominate)."""
     d = _materialize(m._view())
     keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
     return LevelDecomposition(m.alphabet, _level_nfas(d, keys))
@@ -195,20 +186,21 @@ def eval_decomposition(l: LevelDecomposition, w: Sequence[str]) -> Thfe:
 def recompose(l: LevelDecomposition) -> Nthfa:
     """Collapse a level decomposition back into a single Nthfa.
 
-    Each level NFA is determinized, turned into a weight-{0}/{1} machine
-    whose accepting states carry the level key as final value, and the
-    per-level machines are folded together with union_nthfa.  The resulting
-    language equals eval_decomposition(l, .) pointwise.
+    One product of the levels' subset constructions is explored over the
+    decomposition's alphabet: a state is a tuple of subsets, one per level,
+    and its value is the join of the keys whose subset accepts, {0} when
+    none does, which is eval_decomposition(l, .) pointwise.  Its reachable
+    states, named v0, v1, ... in the order the search meets them, become an
+    Nthfa with weight {1} on each transition.  No levels give one state
+    valued {0}.
     """
-    machines: list[Nthfa] = []
-    for key, nfa in l.levels:
-        dfa = nfa.to_dfa()
-        psi = {(q, a, p): ONE for (q, a), p in dfa.delta.items()}
-        final = {q: (key if q in dfa.finals else ZERO) for q in dfa.states}
-        machines.append(Nthfa(dfa.states, dfa.alphabet, psi, dfa.initial, final))
-    if not machines:
-        return Nthfa(["q0"], l.alphabet, {}, "q0", {"q0": ZERO})
-    return functools.reduce(union_nthfa, machines)
+    keys = [k for k, _ in l.levels]
+    product = _product(
+        l.alphabet, [nfa._accepting_subsets() for _, nfa in l.levels],
+        lambda *accepts: sup_combination_n([k for k, yes in zip(keys, accepts) if yes]),
+        lambda i, t: f"v{i}",
+    )
+    return embed_cnthfa(_materialize(product).as_cnthfa())
 
 
 def embed_cnthfa(n: Cnthfa) -> Nthfa:
@@ -225,14 +217,13 @@ def _crispify_zero_one(m: Nthfa) -> Cnthfa:
     while sink in m.states:
         sink += "_"
     states = list(m.states) + [sink]
-    delta: dict[tuple[str, str], set[str]] = {}
-    for q in states:
-        for a in m.alphabet:
-            targets = {p for p in m.states if m.psi.get((q, a, p)) == ONE}
-            # Weight-{0} targets route to the sink; its own rows are empty, so it loops.
-            if len(targets) < len(m.states):
-                targets.add(sink)
-            delta[(q, a)] = targets
+    delta: dict[tuple[str, str], set[str]] = {(q, a): set() for q in states for a in m.alphabet}
+    for q, a, p in m.psi:  # every stored weight is {1}
+        delta[(q, a)].add(p)
+    for targets in delta.values():
+        # Weight-{0} targets route to the sink; its own rows are empty, so it loops.
+        if len(targets) < len(m.states):
+            targets.add(sink)
     return Cnthfa(states, m.alphabet, delta, m.initial, {**m.final_map, sink: ZERO})
 
 
@@ -271,7 +262,7 @@ def intersect_cdthfa(a, b) -> Cdthfa:
     Cdthfa state, a Cnthfa subset or an Nthfa vector v0, v1, ..., numbered
     in the order the left operand's alphabet explores them."""
     _require_same_alphabet(a, b)
-    return _materialize(_product(*_views(a, b), inf_combination))
+    return _materialize(_product(a.alphabet, _views(a, b), inf_combination))
 
 
 def equivalent(a, b) -> EquivalenceVerdict:
@@ -287,7 +278,7 @@ def equivalent(a, b) -> EquivalenceVerdict:
     order.
     """
     _require_same_alphabet(a, b)
-    pairs = _product(*_views(a, b), lambda x, y: x != y)
+    pairs = _product(a.alphabet, _views(a, b), lambda x, y: x != y)
     i = pairs.explore(stop=pairs.values.__getitem__)
     if i is None:
         return EquivalenceVerdict(equivalent=True, counterexample=None)

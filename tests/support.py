@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from hfa import Cdthfa, Cnthfa, Nthfa, Thfe, ZERO, inf_combination, sup_combination
+from hfa import Cdthfa, Cnthfa, Nfa, Nthfa, Thfe, ZERO, inf_combination, sup_combination
+from hfa.constructions import _level_nfas, _materialize
 from hfa.errors import ClosureBudgetExceeded, InvalidTHFE
 
 # Small degree pool keeping THFE operations cheap and collisions likely.
@@ -157,6 +158,16 @@ def reachable_vectors(m: Nthfa) -> list[dict[str, Thfe]]:
     view = m._view()
     view.explore()
     return [dict(zip(m.states, vector)) for vector in view.states]
+
+
+def level_automaton(m: Nthfa, k: Thfe) -> Nfa:
+    """NFA accepting exactly the words whose value dominates ``k``, for any
+    ``k``: the vector automaton with the vectors whose value dominates ``k``
+    final, built as decompose builds a level.  Cutting transition weights at
+    ``k`` would not do: a word's value is a join over many paths, and the
+    order is not compatible with inf-combination on multi-valued elements,
+    so the value may dominate ``k`` although no single path does."""
+    return next(_level_nfas(_materialize(m._view()), [k]))[1]
 
 
 def perturb_nthfa(rng: random.Random, m: Nthfa) -> Nthfa:

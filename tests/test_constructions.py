@@ -26,7 +26,6 @@ from hfa import (
     eval_decomposition,
     intersect_cdthfa,
     leq,
-    level_automaton,
     recompose,
     sup_combination,
     union_nthfa,
@@ -36,6 +35,7 @@ from hfa.oracle import (
     iter_words,
     languages_agree_up_to,
     pairwise_inf,
+    pairwise_sup_n,
     reference_eval,
 )
 
@@ -44,6 +44,7 @@ from support import (
     farey_pool,
     h_union_pointwise,
     hyperbolic_language_eval,
+    level_automaton,
     perturb_nthfa,
     random_cdthfa,
     random_cnthfa,
@@ -168,12 +169,81 @@ class TestRecompose:
             assert verdict.equivalent, verdict
 
     def test_empty_decomposition_is_constant_zero(self):
-        r = recompose(LevelDecomposition(["a"], []))
-        for w in iter_words(("a",), 3):
-            assert r.eval(w) == ZERO
+        l = LevelDecomposition(["a", "b"], [])
+        r = recompose(l)
+        assert r.states == ("v0",)
+        for w in iter_words(("a", "b"), 3):
+            assert r.eval(w) == value_by_runs(l, w) == ZERO
 
     def test_result_is_zero_one(self, m1):
         assert recompose(decompose(m1)).is_zero_one()
+
+    def test_arbitrary_levels_against_runs(self):
+        rng = random.Random(2027)
+        nondeterministic = partial = reordered = 0
+        for _ in range(40):
+            l = random_levels(rng)
+            r = recompose(l)
+            assert r.states == tuple(f"v{i}" for i in range(len(r.states)))
+            for w in iter_words(l.alphabet, 4):
+                assert r.eval(w) == value_by_runs(l, w), (l.levels, w)
+            for _, nfa in l.levels:
+                rows = [nfa.delta.get((q, a), ()) for q in nfa.states for a in nfa.alphabet]
+                nondeterministic += any(len(targets) > 1 for targets in rows)
+                partial += any(not targets for targets in rows)
+                reordered += nfa.alphabet != l.alphabet
+        assert min(nondeterministic, partial, reordered) > 10
+
+    def test_unfaithful_levels(self):
+        # Level {1/2} rejects "b" although "b" is worth {1}: the document is
+        # no set of level cuts, and recompose still computes its value.
+        l = LevelDecomposition(["a", "b"], [
+            (Thfe(["1/2"]), Nfa(["s", "t"], ["a", "b"], {("s", "a"): ["t"]}, "s", ["t"])),
+            (ONE, Nfa(["s", "t"], ["a", "b"], {("s", "b"): ["t"]}, "s", ["t"])),
+        ])
+        r = recompose(l)
+        assert [r.eval(w) for w in [(), ("a",), ("b",), ("a", "b")]] == [
+            ZERO, Thfe(["1/2"]), ONE, ZERO]
+        for w in iter_words(l.alphabet, 4):
+            assert r.eval(w) == value_by_runs(l, w)
+
+    def test_states_at_most_the_vectors(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            m = random_nthfa(rng, max_states=3, pool=farey_pool(6))
+            assert len(recompose(decompose(m)).states) <= len(reachable_vectors(m))
+
+
+def accepts_by_runs(nfa: Nfa, w, q: str | None = None) -> bool:
+    """Whether some run of ``nfa`` on ``w`` from ``q`` (default the initial
+    state) ends in a final state, every run followed through ``nfa.delta``."""
+    q = nfa.initial if q is None else q
+    if not w:
+        return q in nfa.finals
+    return any(accepts_by_runs(nfa, w[1:], p) for p in nfa.delta.get((q, w[0]), ()))
+
+
+def value_by_runs(l: LevelDecomposition, w) -> Thfe:
+    """The value a level document gives ``w``: the pairwise join of the keys
+    of the levels that accept it."""
+    return pairwise_sup_n(k for k, nfa in l.levels if accepts_by_runs(nfa, w))
+
+
+def random_levels(rng: random.Random) -> LevelDecomposition:
+    """Up to four levels over a, b with distinct keys, each a random,
+    usually nondeterministic and partial NFA, half of them declaring the
+    alphabet as b, a."""
+    levels: dict[Thfe, Nfa] = {}
+    for _ in range(rng.randint(1, 4)):
+        states = [f"s{j}" for j in range(rng.randint(1, 3))]
+        alphabet = rng.choice([["a", "b"], ["b", "a"]])
+        delta = {}
+        for q in states:
+            for a in alphabet:
+                delta[(q, a)] = [p for p in states if rng.random() < 0.45]
+        finals = [q for q in states if rng.random() < 0.5]
+        levels[random_thfe(rng)] = Nfa(states, alphabet, delta, states[0], finals)
+    return LevelDecomposition(["a", "b"], levels.items())
 
 
 class TestEmbed:
@@ -213,6 +283,16 @@ class TestCrispify:
         assert c.final_map[sink] == ZERO
         for a in c.alphabet:
             assert c.delta[(sink, a)] == frozenset({sink})
+
+    def test_row_with_one_zero_target_goes_to_sink(self):
+        # Row (q0, a) has one {0} target, q1; row (q1, a) has none.
+        m = Nthfa(["q0", "q1"], ["a"], {
+            ("q0", "a", "q0"): ONE, ("q1", "a", "q0"): ONE, ("q1", "a", "q1"): ONE,
+        }, "q0", {"q1": ONE})
+        c = crispify_nthfa(m)
+        assert c.delta[("q0", "a")] == frozenset({"q0", "q_aleph"})
+        assert c.delta[("q1", "a")] == frozenset({"q0", "q1"})
+        assert c.delta[("q_aleph", "a")] == frozenset({"q_aleph"})
 
     def test_sink_name_avoids_collisions(self):
         m = Nthfa(
