@@ -5,6 +5,9 @@ State and symbol order is significant everywhere: it fixes iteration order,
 construction output, and therefore byte-level reproducibility of anything
 serialized downstream.
 
+Every automaton kind is the deterministic machine it runs (a _Machine),
+from which the one fold over a word and the one view builder derive.
+
 Inside an Nfa a subset of states is an int with bit i set for the i-th
 declared state, and one step ORs the successor masks of its members, which
 are built once per symbol at construction.  Subsets become frozensets of
@@ -122,9 +125,9 @@ class _View:
     start state, a step, a value per state and, to name states, ``name``.
     States are numbered in the order ``step`` first returns them (the start
     is 0); each state's successors and value are computed once, and the
-    step that first reached a state is kept as its parent.  Subset
-    constructions, the view each hesitant kind builds (its _view) and
-    products are all _Views; explore, the one BFS loop, bounds each one."""
+    step that first reached a state is kept as its parent.  The view of
+    every kind (_Machine._view) and every product are _Views; explore, the
+    one BFS loop, bounds each one."""
 
     def __init__(self, alphabet: Sequence[str], start: Hashable,
                  step: Callable[[Hashable, str], Hashable], value: Callable,
@@ -194,7 +197,33 @@ def _product_name(names: Iterable[str]) -> str:
     return "(" + ",".join(map(_escape, names)) + ")"
 
 
-class Dfa:
+class _Machine:
+    """An automaton kind as the deterministic machine it runs over
+    ``alphabet``: a Dfa or Cdthfa its states, an Nfa or Cnthfa its subset
+    masks, an Nthfa its value vectors.  Each kind declares ``_start``;
+    ``_step(state, symbol)``, which raises UnknownSymbol for a symbol
+    outside the alphabet; ``_value(state)``; and, unless a state is its own
+    name, ``_name(number, state)``."""
+
+    def eval(self, w: Sequence[str]):
+        """The value of the state that ``w`` leads to from the start."""
+        return self._value(self._run(self._start, w))
+
+    def _run(self, state, w: Sequence[str]):
+        """The state reached from ``state`` by one step per symbol of ``w``."""
+        for a in w:
+            state = self._step(state, a)
+        return state
+
+    def _name(self, i: int, state: str) -> str:
+        return state
+
+    def _view(self) -> _View:
+        """The machine as a view, built only as far as it is read."""
+        return _View(self.alphabet, self._start, self._step, self._value, self._name)
+
+
+class Dfa(_Machine):
     """Deterministic finite automaton with a total transition function."""
 
     def __init__(
@@ -215,22 +244,27 @@ class Dfa:
         self.finals = frozenset(finals)
         raise_first(undeclared("final state", self.finals, self._state_set))
         raise_first(totality_errors(self.delta, self.states, self.alphabet))
+        self._start = initial
+
+    def _step(self, q: str, a: str) -> str:
+        try:
+            return self.delta[(q, a)]
+        except KeyError:  # the function is total, so ``a`` is no symbol
+            raise UnknownSymbol(f"unknown symbol {a!r}") from None
+
+    def _value(self, q: str) -> bool:
+        return q in self.finals
+
+    accepts = _Machine.eval
 
     def extended(self, q: str, w: Sequence[str]) -> str:
         """Fold the transition function over ``w`` starting at ``q``."""
         if q not in self._state_set:
             raise UnknownState(f"unknown state {q!r}")
-        for a in w:
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"unknown symbol {a!r}")
-            q = self.delta[(q, a)]
-        return q
-
-    def accepts(self, w: Sequence[str]) -> bool:
-        return self.extended(self.initial, w) in self.finals
+        return self._run(q, w)
 
 
-class Nfa:
+class Nfa(_Machine):
     """Nondeterministic finite automaton; the transition map may be partial,
     an absent (state, symbol) entry means the empty successor set."""
 
@@ -257,13 +291,15 @@ class Nfa:
                 successors[a][position[q]] = self._mask(targets)
         # Per symbol, per state position: the mask of that state's successors.
         self._successors = {a: tuple(row) for a, row in successors.items()}
+        self._start = self._mask([initial])
         self.finals = frozenset(finals)
         raise_first(undeclared("final state", self.finals, position))
+        self._accepting = self._mask(self.finals)
 
     def _with_finals(self, finals: Iterable[str]) -> Nfa:
         """This machine with other (declared) final states, sharing its tables."""
         nfa = object.__new__(Nfa)
-        nfa.__dict__.update(self.__dict__, finals=frozenset(finals))
+        nfa.__dict__.update(self.__dict__, finals=frozenset(finals), _accepting=self._mask(finals))
         return nfa
 
     def _mask(self, states: Iterable[str]) -> int:
@@ -277,22 +313,11 @@ class Nfa:
         """The states of a subset mask, in declaration order."""
         return [q for i, q in enumerate(self.states) if subset >> i & 1]
 
-    def successors(self, q: str, a: str) -> frozenset[str]:
-        if a not in self.alphabet:
-            raise UnknownSymbol(f"unknown symbol {a!r}")
-        return self.delta.get((q, a), frozenset())
-
     def extended(self, q: str, w: Sequence[str]) -> frozenset[str]:
         """All states reachable from ``q`` along ``w``; may be empty."""
         if q not in self._position:
             raise UnknownState(f"unknown state {q!r}")
-        current = self._mask([q])
-        for a in w:
-            current = self._step(current, a)
-        return frozenset(self._members(current))
-
-    def accepts(self, w: Sequence[str]) -> bool:
-        return bool(self.extended(self.initial, w) & self.finals)
+        return frozenset(self._members(self._run(self._mask([q]), w)))
 
     def _step(self, subset: int, a: str) -> int:
         """The subset mask reached from ``subset`` by reading ``a``."""
@@ -307,17 +332,14 @@ class Nfa:
             subset ^= low
         return out
 
-    def _subsets(self, value: Callable[[int], object]) -> _View:
-        """The subset construction as a view: the subset masks reachable
-        from {initial}, the empty one included, each valued by ``value`` and
-        named by subset_name."""
-        return _View(self.alphabet, self._mask([self.initial]), self._step, value,
-                     lambda i, s: subset_name(self._members(s)))
+    def _value(self, subset: int) -> bool:
+        """Whether the subset mask holds a final state."""
+        return bool(subset & self._accepting)
 
-    def _accepting_subsets(self) -> _View:
-        """The subset construction, each subset valued by whether it accepts."""
-        finals = self._mask(self.finals)
-        return self._subsets(lambda s: bool(s & finals))
+    def _name(self, i: int, subset: int) -> str:
+        return subset_name(self._members(subset))
+
+    accepts = _Machine.eval
 
     def to_dfa(self) -> Dfa:
         """Reachable-only subset construction.
@@ -327,7 +349,7 @@ class Nfa:
         reachable, becomes an explicit non-final sink.  More than
         DEFAULT_MAX_VECTORS subsets raise ClosureBudgetExceeded.
         """
-        view = self._accepting_subsets()
+        view = self._view()
         view.explore()
         names = [view.name(i) for i in range(len(view.states))]
         accepting = [name for name, final in zip(names, view.values) if final]

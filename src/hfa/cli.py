@@ -174,7 +174,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    m = _as_nthfa(args.file, _load(args.file))
+    m = _as_hesitant(args.file, _load(args.file))
     decomposition = decompose(m)
     if args.output_dir is None:
         _emit(decomposition)
@@ -200,7 +200,7 @@ def _cmd_recompose(args) -> int:
 
 
 def _cmd_range(args) -> int:
-    m = _as_nthfa(args.file, _load(args.file))
+    m = _as_hesitant(args.file, _load(args.file))
     for value in sorted(compute_range(m), key=lambda t: t.degrees):
         print(value)
     return 0

@@ -2,21 +2,21 @@
 level decomposition and recomposition, crisp embedding, crispification,
 determinization, intersection, and an exact equivalence decider.
 
-Every hesitant automaton builds its deterministic view (its _view method),
-a crisp, deterministic and total machine computing its language that is
-built only as far as it is read: an Nthfa's view steps between its finitely
-many reachable value vectors, a Cnthfa's between reachable subsets, and a
-Cdthfa is its own view.  The Nthfa's view is the forward weighted
+Every automaton kind is the deterministic machine it runs
+(classic._Machine), and its view (its _view method) is that machine built
+only as far as it is read: an Nthfa's view steps between its finitely many
+reachable value vectors, a Cnthfa's and an Nfa's between reachable subsets,
+and a Cdthfa is its own view.  The Nthfa's view is the forward weighted
 determinization of Mohri ("Weighted automata algorithms", 2009), valid here
 only left to right, because distributivity and inf-monotonicity fail on
 multi-valued elements.  Explored in full, a view is the vector automaton or
 the subset construction, which range computation, level cuts and
-crispification read.  Intersection, equivalence and recomposition explore
-a product of views, so a vector or subset is computed only once the
-product reaches it, and equivalence stops at the first pair whose values
-differ.  Every exploration, the subset construction of a classical Nfa
-included, runs in classic._View.explore under the one budget
-classic.DEFAULT_MAX_VECTORS.
+crispification read from whatever kind they are given.  Intersection,
+equivalence and recomposition explore a product of views, so a vector or
+subset is computed only once the product reaches it, and equivalence stops
+at the first pair whose values differ.  Every exploration, the subset
+construction of a classical Nfa included, runs in classic._View.explore
+under the one budget classic.DEFAULT_MAX_VECTORS.
 
 recompose is the paper's construction of a machine from its level cuts:
 one product of the levels' subset constructions.  Crispification and
@@ -123,33 +123,32 @@ def _views(a, b) -> tuple[_View, _View]:
     return va, (va if b is a else b._view())
 
 
-def _product(alphabet: Sequence[str], views: Sequence[_View], combine: Callable,
-             name: Callable[[int, tuple], str] | None = None) -> _View:
+def _product(alphabet: Sequence[str], views: Sequence[_View], combine: Callable) -> _View:
     """The synchronized product of any number of views over ``alphabet``,
     on tuples of their state numbers.  A tuple's value is ``combine`` over
-    the values of its states, and its name is "(q,p,...)" after theirs
-    unless ``name`` names it.  The product of no views has one state."""
+    the values of its states, and its name is "(q,p,...)" after theirs.
+    The product of no views has one state."""
     return _View(
         alphabet, (0,) * len(views),
         lambda t, a: tuple([v.step(i, a) for v, i in zip(views, t)]),
         lambda t: combine(*[v.values[i] for v, i in zip(views, t)]),
-        name or (lambda i, t: _product_name([v.name(j) for v, j in zip(views, t)])),
+        lambda i, t: _product_name([v.name(j) for v, j in zip(views, t)]),
     )
 
 
-def _materialize(view: _View) -> Cdthfa:
-    """All reachable states of a view as a Cdthfa.  For an Nthfa that is its
-    vector automaton: each final value is the machine value of its vector,
-    so every word evaluates exactly as under the Nthfa."""
+def _materialize(view: _View, numbered: bool = False) -> Cdthfa:
+    """All reachable states of a view as a Cdthfa, named by the view or, if
+    ``numbered``, v0, v1, ... in search order.  For an Nthfa that is its
+    vector automaton, so every word evaluates exactly as under the Nthfa."""
     view.explore()
-    names = [view.name(i) for i in range(len(view.states))]
+    names = [f"v{i}" if numbered else view.name(i) for i in range(len(view.states))]
     final = dict(zip(names, view.values))
     return Cdthfa(names, view.alphabet, view.named_delta(names), names[0], final)
 
 
-def compute_range(m: Nthfa) -> frozenset[Thfe]:
+def compute_range(m: Nthfa | Cnthfa | Cdthfa) -> frozenset[Thfe]:
     """The exact set of values the language attains over all words: the
-    values of the machine's reachable vectors."""
+    values of the states of the machine's view."""
     view = m._view()
     view.explore()
     return frozenset(view.values)
@@ -169,11 +168,12 @@ def _level_nfas(d: Cdthfa, keys: Iterable[Thfe]) -> Iterator[tuple[Thfe, Nfa]]:
         yield k, nfa._with_finals(finals)
 
 
-def decompose(m: Nthfa) -> LevelDecomposition:
+def decompose(m: Nthfa | Cnthfa | Cdthfa) -> LevelDecomposition:
     """One level automaton per range value, keys sorted ascending: the
-    vector automaton with the vectors whose value dominates the key final
-    (a word's value is a join over paths; no single path need dominate)."""
-    d = _materialize(m._view())
+    machine's view, states v0, v1, ... in search order, final where their
+    value dominates the key (a word's value is the fold over its vectors; it
+    may dominate the key although no path's weight does)."""
+    d = _materialize(m._view(), numbered=True)
     keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
     return LevelDecomposition(m.alphabet, _level_nfas(d, keys))
 
@@ -196,11 +196,10 @@ def recompose(l: LevelDecomposition) -> Nthfa:
     """
     keys = [k for k, _ in l.levels]
     product = _product(
-        l.alphabet, [nfa._accepting_subsets() for _, nfa in l.levels],
+        l.alphabet, [nfa._view() for _, nfa in l.levels],
         lambda *accepts: sup_combination_n([k for k, yes in zip(keys, accepts) if yes]),
-        lambda i, t: f"v{i}",
     )
-    return embed_cnthfa(_materialize(product).as_cnthfa())
+    return embed_cnthfa(_materialize(product, numbered=True).as_cnthfa())
 
 
 def embed_cnthfa(n: Cnthfa) -> Nthfa:

@@ -1,16 +1,17 @@
 """Hesitant automata: THFE-weighted transitions (Nthfa) and the two crisp
 variants that keep THFE-valued final maps (Cnthfa, Cdthfa).
 
-An Nthfa assigns every (state, symbol, state) triple a THFE weight; the
-weight of a word along a path combines transition weights with the
-inf-combination, and the machine value of a word joins all path weights with
-the sup-combination.  Evaluation runs as a single left-to-right fold over a
-per-state value vector instead of enumerating the exponentially many paths
-(the literal path recursion lives in the oracle module as the reference
-implementation).  One step of the fold visits each transition labelled with
-the symbol once, through a per-symbol list of incoming transitions built at
-construction, so it costs one inf-combination per transition whose source
-entry is not {0} and one n-ary join per state.
+An Nthfa assigns every (state, symbol, state) triple a THFE weight.  A
+word's value is a left-to-right fold over a per-state value vector: reading
+a symbol sets each entry p to the join over r of entry r combined (inf) with
+psi(r, a, p), and the value joins each entry combined with its final value.
+Since distributivity fails, that is not the join over paths of their
+weights (README, "Known non-laws"); the oracle module computes the same
+recursion literally.  One step visits each transition labelled with the
+symbol once, through per-symbol lists of incoming transitions built at
+construction: one inf-combination per transition whose source entry is not
+{0} and one n-ary join per state.  Each kind is a classic._Machine and
+declares only the machine it runs; eval and the view derive from it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .classic import Dfa, Nfa, _View, checked_header, raise_first, transition_errors, undeclared
+from .classic import Dfa, Nfa, _Machine, checked_header, raise_first, transition_errors, undeclared
 from .errors import UnknownState, UnknownSymbol
 from .hfe import ONE, ZERO, DegreeCodec, Thfe, inf_combination, sup_combination_n
 
@@ -41,7 +42,7 @@ def _total_final_map(
     return {q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in states}
 
 
-class Nthfa:
+class Nthfa(_Machine):
     """Automaton with THFE-valued transitions and a THFE-valued final map.
 
     The transition map is stored sparsely: triples whose value is {0} are
@@ -115,6 +116,9 @@ class Nthfa:
             if v is not ZERO
         ])
 
+    def _name(self, i: int, vector: _Vector) -> str:
+        return f"v{i}"
+
     def _as_tuple(self, vector: StateValueVector) -> _Vector:
         try:
             return tuple(vector[q] for q in self.states)
@@ -150,30 +154,16 @@ class Nthfa:
         return self._value(self._as_tuple(vector))
 
     def psi_hat(self, q: str, w: Sequence[str], p: str) -> Thfe:
-        """Weight of reading ``w`` from ``q`` to ``p``, over all paths."""
+        """The extended transition weight: entry ``p`` of the fold over ``w`` from {1} at ``q``."""
         if p not in self._index:
             raise UnknownState(f"unknown state {p!r}")
-        vector = self._as_tuple(self.initial_vector(q))
-        for a in w:
-            vector = self._step(vector, a)
-        return vector[self._index[p]]
-
-    def eval(self, w: Sequence[str]) -> Thfe:
-        """The THFE value the machine assigns to ``w``."""
-        vector = self._start
-        for a in w:
-            vector = self._step(vector, a)
-        return self._value(vector)
-
-    def _view(self) -> _View:
-        """The reachable value vectors, named v0, v1, ..., valued like eval."""
-        return _View(self.alphabet, self._start, self._step, self._value, lambda i, v: f"v{i}")
+        return self._run(self._as_tuple(self.initial_vector(q)), w)[self._index[p]]
 
 
-class _Crisp:
+class _Crisp(_Machine):
     """Shared by the crisp kinds: the transitions form a classical automaton,
-    which checks their structure, and a total final map assigns each state
-    a THFE."""
+    which checks their structure and whose start, step and state names are
+    the kind's own, and a total final map assigns each state a THFE."""
 
     _classical: type[Nfa] | type[Dfa]
 
@@ -186,13 +176,14 @@ class _Crisp:
         final_map: Mapping[str, Thfe | Iterable],
         metadata: Mapping[str, object] | None = None,
     ):
-        self._machine = self._classical(states, alphabet, delta, initial, finals=())
-        self.states = self._machine.states
-        self.alphabet = self._machine.alphabet
-        self.delta = self._machine.delta
+        m = self._classical(states, alphabet, delta, initial, finals=())
+        self.states = m.states
+        self.alphabet = m.alphabet
+        self.delta = m.delta
         self.initial = initial
         self.final_map = _total_final_map(self.states, final_map)
         self.metadata = dict(metadata) if metadata else {}
+        self._start, self._step, self._name = m._start, m._step, m._name
 
 
 class Cnthfa(_Crisp):
@@ -202,29 +193,13 @@ class Cnthfa(_Crisp):
 
     _classical = Nfa
 
-    def as_nfa(self, finals: Iterable[str] = ()) -> Nfa:
-        """The underlying crisp NFA, with the given final states."""
-        return Nfa(self.states, self.alphabet, self.delta, self.initial, finals)
-
     @functools.cached_property
-    def _subset_value(self) -> Callable[[int], Thfe]:
+    def _value(self) -> Callable[[int], Thfe]:
         """The value of a subset mask: the join of its members' final values,
         which are encoded once, so the join runs on codec masks."""
         codec = DegreeCodec(self.final_map.values())
         finals = [codec.encode(f) for f in self.final_map.values()]  # in state order
         return lambda s: codec.decode(codec.join(f for i, f in enumerate(finals) if s >> i & 1))
-
-    def eval(self, w: Sequence[str]) -> Thfe:
-        """Join of the final values over all states the crisp run reaches."""
-        nfa = self._machine
-        subset = nfa._mask([self.initial])
-        for a in w:
-            subset = nfa._step(subset, a)
-        return self._subset_value(subset)
-
-    def _view(self) -> _View:
-        """The subsets reachable from {initial}, named by subset_name."""
-        return self._machine._subsets(self._subset_value)
 
 
 class Cdthfa(_Crisp):
@@ -234,16 +209,8 @@ class Cdthfa(_Crisp):
 
     _classical = Dfa
 
-    def extended(self, q: str, w: Sequence[str]) -> str:
-        return self._machine.extended(q, w)
-
-    def eval(self, w: Sequence[str]) -> Thfe:
-        return self.final_map[self.extended(self.initial, w)]
-
-    def _view(self) -> _View:
-        """The machine itself, its states under their own names."""
-        return _View(self.alphabet, self.initial, lambda q, a: self.delta[(q, a)],
-                     self.final_map.__getitem__, lambda i, q: q)
+    def _value(self, q: str) -> Thfe:
+        return self.final_map[q]
 
     def as_cnthfa(self) -> Cnthfa:
         """View with each deterministic target wrapped as a singleton set."""

@@ -6,13 +6,15 @@ no generator touches the global RNG state.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from hfa import Cdthfa, Cnthfa, Nfa, Nthfa, Thfe, ZERO, inf_combination, sup_combination
+from hfa import Cdthfa, Cnthfa, Nfa, Nthfa, ONE, Thfe, ZERO, inf_combination, sup_combination
 from hfa.constructions import _level_nfas, _materialize
-from hfa.errors import ClosureBudgetExceeded, InvalidTHFE
+from hfa.errors import ClosureBudgetExceeded, InvalidTHFE, UnknownSymbol
+from hfa.oracle import pairwise_inf, pairwise_sup_n
 
 # Small degree pool keeping THFE operations cheap and collisions likely.
 SMALL_POOL = tuple(Fraction(n, 4) for n in range(5))
@@ -136,6 +138,18 @@ def random_cdthfa(
     return Cdthfa(states, alphabet, delta, states[0], final)
 
 
+def as_nfa(c: Cnthfa, finals: Iterable[str] = ()) -> Nfa:
+    """The crisp NFA under a Cnthfa, with the given final states."""
+    return Nfa(c.states, c.alphabet, c.delta, c.initial, finals)
+
+
+def successors(n: Nfa, q: str, a: str) -> frozenset[str]:
+    """The targets of ``q`` on ``a``; empty where the transition map is partial."""
+    if a not in n.alphabet:
+        raise UnknownSymbol(f"unknown symbol {a!r}")
+    return n.delta.get((q, a), frozenset())
+
+
 def random_small_range_nthfa(
     rng: random.Random,
     max_vectors: int = 8,
@@ -164,10 +178,27 @@ def level_automaton(m: Nthfa, k: Thfe) -> Nfa:
     """NFA accepting exactly the words whose value dominates ``k``, for any
     ``k``: the vector automaton with the vectors whose value dominates ``k``
     final, built as decompose builds a level.  Cutting transition weights at
-    ``k`` would not do: a word's value is a join over many paths, and the
-    order is not compatible with inf-combination on multi-valued elements,
-    so the value may dominate ``k`` although no single path does."""
+    ``k`` would not do: a word's value is a fold that joins the entries of
+    its vectors at every step, and the order is not compatible with
+    inf-combination on multi-valued elements, so the value may dominate
+    ``k`` although no single path's weight does."""
     return next(_level_nfas(_materialize(m._view()), [k]))[1]
+
+
+def path_join(m: Nthfa, w: Sequence[str]) -> Thfe:
+    """The join, over every path that reads ``w`` from the initial state, of
+    the path's transition weights and its last state's final value combined
+    by pairwise_inf.  This is not a word's value: the value is the forward
+    fold, which joins at every step, and distributivity fails (README,
+    "Known non-laws")."""
+    def weight(path: tuple[str, ...]) -> Thfe:
+        states = (m.initial, *path)
+        value = ONE
+        for q, a, p in zip(states, w, path):
+            value = pairwise_inf(value, m.psi_value(q, a, p))
+        return pairwise_inf(value, m.final_map[states[-1]])
+
+    return pairwise_sup_n(weight(path) for path in itertools.product(m.states, repeat=len(w)))
 
 
 def perturb_nthfa(rng: random.Random, m: Nthfa) -> Nthfa:

@@ -60,6 +60,7 @@ from support import (
     TIGHT_POOL,
     farey_pool,
     hyperbolic_language_eval,
+    path_join,
     perturb_nthfa,
     random_cdthfa,
     random_cnthfa,
@@ -254,6 +255,31 @@ def test_criterion_03_evaluation_matches_reference(capsys):
     assert mismatches == 0, f"{mismatches} mismatches, first: {first}"
 
 
+def test_criterion_03_value_is_the_fold_not_the_path_join(capsys):
+    """A word's value is the forward fold, which oracle.reference_eval
+    computes literally, and not the join over paths of their weights: the
+    two differ because distributivity fails (README, "Known non-laws").
+    Like criterion 1, this fails if the difference ever stops showing."""
+    rng = random.Random(5)
+    pairs = mismatches = differ = 0
+    for _ in range(60):
+        m = random_nthfa(rng, max_states=3, max_symbols=2, pool=farey_pool(6))
+        for w in iter_words(m.alphabet, 3):
+            pairs += 1
+            value = m.eval(w)
+            mismatches += value != reference_eval(m, w)
+            differ += value != path_join(m, w)
+
+    ok = not mismatches and differ > 0
+    detail = f"{pairs} (machine, word) pairs, {differ} differ from the path join"
+    report(capsys, ok, 3, "a word's value is the fold, not the join over paths", detail)
+    assert not mismatches, f"eval differs from the reference on {mismatches} of {pairs} pairs"
+    assert differ, (
+        "the join over paths equals eval on every pair; the non-law pinned in "
+        "test_hfe.py::TestKnownNonLaws no longer shows"
+    )
+
+
 def test_criterion_04_union_is_pointwise_join(capsys):
     rng = random.Random(404)
     for _ in range(100):
@@ -445,6 +471,10 @@ CLI_COMMANDS = [
     ("intersect", "crisp16_left.json", "crisp16_right.json"),
     ("eval", "crisp16.json", "babbbacc"),
     ("embed", "crisp16.json"),
+    ("range", "crisp16.json"),
+    ("range", "det.json"),
+    ("decompose", "crisp.json"),
+    ("decompose", "det.json"),
 ]
 
 

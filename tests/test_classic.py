@@ -8,7 +8,7 @@ import hfa.classic
 from hfa import Cnthfa, Dfa, Nfa, UnknownState, UnknownSymbol, determinize_cnthfa, subset_name
 from hfa.errors import ClosureBudgetExceeded, IncompleteTransition
 
-from support import random_cnthfa
+from support import as_nfa, random_cnthfa, successors
 
 
 def even_a_dfa() -> Dfa:
@@ -87,7 +87,7 @@ class TestNfa:
 
     def test_successors_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
-            ends_in_ab_nfa().successors("s", "z")
+            successors(ends_in_ab_nfa(), "s", "z")
 
 
 class TestSubsetConstruction:
@@ -116,7 +116,7 @@ class TestSubsetConstruction:
     def test_to_dfa_preserves_language(self):
         rng = random.Random(7)
         for _ in range(30):
-            n = random_cnthfa(rng).as_nfa()
+            n = as_nfa(random_cnthfa(rng))
             finals = [q for q in n.states if rng.random() < 0.5]
             n = Nfa(n.states, n.alphabet, n.delta, n.initial, finals)
             d = n.to_dfa()
@@ -167,7 +167,7 @@ def nfas(draw) -> Nfa:
 
 
 def step_by_definition(n: Nfa, subset: frozenset, a: str) -> frozenset:
-    return frozenset(p for q in subset for p in n.successors(q, a))
+    return frozenset(p for q in subset for p in successors(n, q, a))
 
 
 class TestSubsetMasks:

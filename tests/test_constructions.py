@@ -27,6 +27,7 @@ from hfa import (
     intersect_cdthfa,
     leq,
     recompose,
+    serialize_automaton,
     sup_combination,
     union_nthfa,
 )
@@ -40,6 +41,7 @@ from hfa.oracle import (
 )
 
 from support import (
+    as_nfa,
     constant_automaton,
     farey_pool,
     h_union_pointwise,
@@ -508,13 +510,27 @@ class TestCrispConstructionsAgainstOracle:
             for w in iter_words(x.alphabet, 4):
                 assert x.eval(w) == _oracle_eval(x, w)
                 if isinstance(x, Cnthfa):
-                    empty += not x.as_nfa().extended(x.initial, w)
+                    empty += not as_nfa(x).extended(x.initial, w)
         # Some runs reach the empty subset, whose value is {0}.
         assert empty
-        n = random_cnthfa(random.Random(10), max_states=3, alphabet=["a", "b"])
-        with pytest.raises(UnknownSymbol) as excinfo:
-            n.eval(["a", "z"])
-        assert excinfo.value.args == ("unknown symbol 'z'",)
+        for draw in (random_cnthfa, random_cdthfa):
+            x = draw(random.Random(10), max_states=3, alphabet=["a", "b"])
+            with pytest.raises(UnknownSymbol) as excinfo:
+                x.eval(["a", "z"])
+            assert excinfo.value.args == ("unknown symbol 'z'",)
+
+    def test_range_and_decompose_match_the_embedding(self):
+        """compute_range and decompose of a crisp machine equal those of its
+        {0}/{1} embedding, the decomposition byte for byte."""
+        empty = 0
+        for x in self.draws(random.Random(14), 60):
+            m = embed_cnthfa(x.as_cnthfa() if isinstance(x, Cdthfa) else x)
+            assert compute_range(x) == compute_range(m)
+            assert serialize_automaton(decompose(x)) == serialize_automaton(decompose(m))
+            if isinstance(x, Cnthfa):
+                empty += "{}" in determinize_cnthfa(x).states
+        # Some partial Cnthfas reach the empty subset, whose value is {0}.
+        assert empty
 
     def test_determinize(self):
         for x in self.draws(random.Random(11), 30):

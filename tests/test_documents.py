@@ -23,7 +23,7 @@ from hfa import (
     validate_text,
 )
 
-from support import random_cdthfa, random_cnthfa, random_nthfa
+from support import random_cdthfa, random_cnthfa, random_nthfa, successors
 
 
 def roundtrip(x):
@@ -250,7 +250,7 @@ class TestKindSpecificRules:
         })
         result = parse_document(text)
         assert any(w.code == "CanonicalizedValue" for w in result.warnings)
-        assert result.automaton.successors("q0", "a") == frozenset({"q0", "q1"})
+        assert successors(result.automaton, "q0", "a") == frozenset({"q0", "q1"})
 
     @pytest.mark.parametrize("targets, warnings", [
         (["q1", "q1"], ["duplicate target 'q1' merged"]),

@@ -16,7 +16,7 @@ from hfa import (
 from hfa.errors import IncompleteTransition
 from hfa.oracle import pairwise_inf, pairwise_sup_n
 
-from support import farey_pool, random_cdthfa, random_cnthfa, random_nthfa, random_thfe
+from support import as_nfa, farey_pool, random_cdthfa, random_cnthfa, random_nthfa, random_thfe
 
 F = Fraction
 
@@ -144,7 +144,7 @@ class TestCnthfa:
     def test_as_nfa_roundtrip(self):
         rng = random.Random(3)
         c = random_cnthfa(rng)
-        n = c.as_nfa(finals=[c.states[0]])
+        n = as_nfa(c, finals=[c.states[0]])
         assert n.states == c.states
         assert n.delta == c.delta
         assert n.finals == frozenset({c.states[0]})

@@ -20,8 +20,9 @@ from hfa import (
     sup_combination_n,
 )
 from hfa.hfe import DegreeCodec
-from hfa.oracle import pairwise_inf, pairwise_leq, pairwise_sup, pairwise_sup_n
-from support import generated_closure, is_degenerate
+from hfa.hesitant import Nthfa
+from hfa.oracle import pairwise_inf, pairwise_leq, pairwise_sup, pairwise_sup_n, reference_eval
+from support import generated_closure, is_degenerate, path_join
 
 F = Fraction
 
@@ -306,6 +307,19 @@ class TestKnownNonLaws:
         assert inf_combination(x, z) == Thfe(["0", "1/2"])
         assert inf_combination(y, z) == Thfe(["0", "1"])
         assert not leq(inf_combination(x, z), inf_combination(y, z))
+
+    def test_word_value_is_not_the_join_over_paths(self):
+        """The fold joins {1/4} into {1/2, 1} at q0 before the final
+        inf-combination; the join over paths keeps 1/4 apart."""
+        m = Nthfa(
+            ["q0", "q1"], ["a"],
+            {("q0", "a", "q0"): Thfe(["1/2", "1"]), ("q0", "a", "q1"): Thfe(["1/4"]),
+             ("q1", "a", "q0"): ONE},
+            "q0", {"q0": Thfe(["0", "1"]), "q1": ZERO},
+        )
+        w = ("a", "a")
+        assert m.eval(w) == reference_eval(m, w) == Thfe(["0", "1/2", "1"])
+        assert path_join(m, w) == Thfe(["0", "1/4", "1/2", "1"])
 
 
 class TestGeneratedClosure:
