@@ -192,9 +192,9 @@ def subset_name(members: Iterable[str]) -> str:
     return "{" + ",".join(_escape(m) for m in sorted(members)) + "}"
 
 
-def _product_name(names: Iterable[str]) -> str:
-    """Name of a product state, "(q,p,...)", escaped like subset names."""
-    return "(" + ",".join(map(_escape, names)) + ")"
+def _product_name(q: str, p: str) -> str:
+    """Name of a product state, "(q,p)", escaped like subset names."""
+    return f"({_escape(q)},{_escape(p)})"
 
 
 class _Machine:

@@ -23,13 +23,11 @@ from typing import Sequence
 
 from .classic import WORD_SEPARATOR, Dfa, Nfa
 from .constructions import (
-    LevelDecomposition,
     crispify_nthfa,
     decompose,
     determinize_cnthfa,
     embed_cnthfa,
     equivalent,
-    eval_decomposition,
     intersect_cdthfa,
     recompose,
     union_nthfa,
@@ -39,6 +37,7 @@ from .errors import ClosureBudgetExceeded, HfaError, UnknownSymbol
 from .documents import (
     Diagnostic,
     DocumentError,
+    KINDS,
     kind_name,
     parse_document,
     serialize_automaton,
@@ -59,26 +58,29 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _load(path: str):
+# The document kinds a command takes, and how its error names them.
+ANY = KINDS, "a document"
+HESITANT = ("nthfa", "cnthfa", "cdthfa"), "a hesitant automaton (nthfa, cnthfa, or cdthfa)"
+SUBSETS = ("nfa", "cnthfa", "cdthfa"), "an nfa, cnthfa, or cdthfa"
+WEIGHTED = ("nthfa",), "an nthfa"
+CRISP = ("cnthfa", "cdthfa"), "a cnthfa or cdthfa"
+LEVELS = ("decomposition",), "a decomposition"
+
+
+def _load(path: str, accepted: tuple[tuple[str, ...], str]):
+    """The document at ``path``, once its kind is one of ``accepted``."""
     result = parse_document(_read(path))
     for warning in result.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
+    kinds, expected = accepted
+    kind = kind_name(result.automaton)
+    if kind not in kinds:
+        message = f"{path}: expected {expected}, got kind {kind!r}"
+        raise DocumentError([Diagnostic("InvalidDocument", message)])
     return result.automaton
 
 
-def _reject_kind(path: str, got, expected: str):
-    message = f"{path}: expected {expected}, got kind {kind_name(got)!r}"
-    raise DocumentError([Diagnostic("InvalidDocument", message)])
-
-
-def _as_hesitant(path: str, x) -> Nthfa | Cnthfa | Cdthfa:
-    if isinstance(x, (Nthfa, Cnthfa, Cdthfa)):
-        return x
-    _reject_kind(path, x, "a hesitant automaton (nthfa, cnthfa, or cdthfa)")
-
-
-def _as_nthfa(path: str, x) -> Nthfa:
-    x = _as_hesitant(path, x)
+def _as_nthfa(x: Nthfa | Cnthfa | Cdthfa) -> Nthfa:
     if isinstance(x, Cdthfa):
         x = x.as_cnthfa()
     return embed_cnthfa(x) if isinstance(x, Cnthfa) else x
@@ -119,63 +121,52 @@ def _emit(x) -> None:
 
 
 def _cmd_eval(args) -> int:
-    x = _load(args.file)
+    x = _load(args.file, ANY)
     word = parse_word(args.word, args.lambda_, x.alphabet)
     if isinstance(x, (Dfa, Nfa)):
         print("accept" if x.accepts(word) else "reject")
-    elif isinstance(x, LevelDecomposition):
-        print(eval_decomposition(x, word))
     else:
         print(x.eval(word))
     return 0
 
 
 def _cmd_union(args) -> int:
-    left = _as_nthfa(args.left, _load(args.left))
-    right = _as_nthfa(args.right, _load(args.right))
+    left = _as_nthfa(_load(args.left, HESITANT))
+    right = _as_nthfa(_load(args.right, HESITANT))
     _emit(union_nthfa(left, right))
     return 0
 
 
 def _cmd_intersect(args) -> int:
-    left = _as_hesitant(args.left, _load(args.left))
-    right = _as_hesitant(args.right, _load(args.right))
+    left = _load(args.left, HESITANT)
+    right = _load(args.right, HESITANT)
     _emit(intersect_cdthfa(left, right))
     return 0
 
 
 def _cmd_determinize(args) -> int:
-    x = _load(args.file)
+    x = _load(args.file, SUBSETS)
     if isinstance(x, Nfa):
         _emit(x.to_dfa())
     elif isinstance(x, Cdthfa):
         _emit(determinize_cnthfa(x.as_cnthfa()))
-    elif isinstance(x, Cnthfa):
-        _emit(determinize_cnthfa(x))
     else:
-        _reject_kind(args.file, x, "an nfa, cnthfa, or cdthfa")
+        _emit(determinize_cnthfa(x))
     return 0
 
 
 def _cmd_crispify(args) -> int:
-    x = _load(args.file)
-    if not isinstance(x, Nthfa):
-        _reject_kind(args.file, x, "an nthfa")
-    _emit(crispify_nthfa(x))
+    _emit(crispify_nthfa(_load(args.file, WEIGHTED)))
     return 0
 
 
 def _cmd_embed(args) -> int:
-    x = _load(args.file)
-    if not isinstance(x, (Cnthfa, Cdthfa)):
-        _reject_kind(args.file, x, "a cnthfa or cdthfa")
-    _emit(_as_nthfa(args.file, x))
+    _emit(_as_nthfa(_load(args.file, CRISP)))
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    m = _as_hesitant(args.file, _load(args.file))
-    decomposition = decompose(m)
+    decomposition = decompose(_load(args.file, HESITANT))
     if args.output_dir is None:
         _emit(decomposition)
         return 0
@@ -192,23 +183,19 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_recompose(args) -> int:
-    x = _load(args.file)
-    if not isinstance(x, LevelDecomposition):
-        _reject_kind(args.file, x, "a decomposition")
-    _emit(recompose(x))
+    _emit(recompose(_load(args.file, LEVELS)))
     return 0
 
 
 def _cmd_range(args) -> int:
-    m = _as_hesitant(args.file, _load(args.file))
-    for value in sorted(compute_range(m), key=lambda t: t.degrees):
+    for value in sorted(compute_range(_load(args.file, HESITANT)), key=lambda t: t.degrees):
         print(value)
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    left = _as_hesitant(args.left, _load(args.left))
-    right = _as_hesitant(args.right, _load(args.right))
+    left = _load(args.left, HESITANT)
+    right = _load(args.right, HESITANT)
     verdict = equivalent(left, right)
     if verdict.equivalent:
         print("equivalent")
@@ -242,26 +229,28 @@ def _cmd_oracle_check(args) -> int:
     # Imported here so that no other command pays for loading the oracle.
     from .oracle import DEFAULT_RECURSION_BOUND, iter_words, languages_agree_up_to, reference_eval
 
-    left = _as_hesitant(args.left, _load(args.left))
+    left = _load(args.left, HESITANT)
     if args.right is None:
         # The literal reference recursion is exponential in word length, so
         # the single-machine mode defaults to a shorter bound than pair mode.
+        # The document's own eval is checked against the reference
+        # recursion on its embedding.
         bound = 4 if args.length is None else args.length
-        m = _as_nthfa(args.left, left)
+        m = _as_nthfa(left)
         count = 0
-        for w in iter_words(m.alphabet, bound):
+        for w in iter_words(left.alphabet, bound):
             count += 1
-            got = m.eval(w)
+            got = left.eval(w)
             expected = reference_eval(m, w, max_length=bound)
             if got != expected:
                 print("mismatch")
-                print(f'word: "{format_word(w, m.alphabet)}"')
+                print(f'word: "{format_word(w, left.alphabet)}"')
                 print(f"eval: {got}")
                 print(f"reference: {expected}")
                 return 1
         print(f"checked {count} words up to length {bound}: all values match the reference")
         return 0
-    right = _as_hesitant(args.right, _load(args.right))
+    right = _load(args.right, HESITANT)
     bound = DEFAULT_RECURSION_BOUND if args.length is None else args.length
     verdict = languages_agree_up_to(left, right, bound)
     if verdict.equivalent:

@@ -6,29 +6,30 @@ Every automaton kind is the deterministic machine it runs
 (classic._Machine), and its view (its _view method) is that machine built
 only as far as it is read: an Nthfa's view steps between its finitely many
 reachable value vectors, a Cnthfa's and an Nfa's between reachable subsets,
-and a Cdthfa is its own view.  The Nthfa's view is the forward weighted
-determinization of Mohri ("Weighted automata algorithms", 2009), valid here
-only left to right, because distributivity and inf-monotonicity fail on
-multi-valued elements.  Explored in full, a view is the vector automaton or
-the subset construction, which range computation, level cuts and
-crispification read from whatever kind they are given.  Intersection,
-equivalence and recomposition explore a product of views, so a vector or
-subset is computed only once the product reaches it, and equivalence stops
-at the first pair whose values differ.  Every exploration, the subset
-construction of a classical Nfa included, runs in classic._View.explore
-under the one budget classic.DEFAULT_MAX_VECTORS.
+a LevelDecomposition's between tuples of its levels' subsets, and a Cdthfa
+is its own view.  The Nthfa's view is the forward weighted determinization
+of Mohri ("Weighted automata algorithms", 2009), valid here only left to
+right, because distributivity and inf-monotonicity fail on multi-valued
+elements.  Explored in full, a view is the vector automaton or the subset
+construction, which range computation, level cuts, recomposition and
+crispification read from whatever kind they are given.  Intersection and
+equivalence explore the product of two views, so a vector or subset is
+computed only once the product reaches it, and equivalence stops at the
+first pair whose values differ.  Every exploration, the subset construction
+of a classical Nfa included, runs in classic._View.explore under the one
+budget classic.DEFAULT_MAX_VECTORS.
 
-recompose is the paper's construction of a machine from its level cuts:
-one product of the levels' subset constructions.  Crispification and
-equivalence pass through neither it nor decompose.
+recompose is the paper's construction of a machine from its level cuts: the
+decomposition's own view, which runs the cuts side by side.  Crispification
+and equivalence pass through neither it nor decompose.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .classic import Nfa, _product_name, _View, raise_first
-from .errors import AlphabetMismatch, HfaError, InvalidAutomaton
+from .classic import Nfa, _Machine, _product_name, _View, raise_first
+from .errors import AlphabetMismatch, HfaError, InvalidAutomaton, UnknownSymbol
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
 
@@ -56,16 +57,30 @@ class EquivalenceVerdict(NamedTuple):
     counterexample: tuple[str, ...] | None
 
 
-class LevelDecomposition:
+class LevelDecomposition(_Machine):
     """A language represented as level cuts: finitely many (key, NFA) pairs
     where each NFA accepts the words whose value dominates its key.  The
     represented value of a word is the join of all applicable keys, {0} when
-    none applies."""
+    none applies.  Its machine runs the levels side by side: a state is the
+    tuple of their subset masks."""
 
     def __init__(self, alphabet: Sequence[str], levels: Iterable[tuple[Thfe, Nfa]]):
         self.alphabet = tuple(alphabet)
         self.levels = tuple(levels)
         raise_first(level_errors(self.alphabet, enumerate(self.levels)))
+        self._start = tuple(nfa._start for _, nfa in self.levels)
+
+    def _step(self, masks: tuple[int, ...], a: str) -> tuple[int, ...]:
+        if a not in self.alphabet:  # also when there is no level to say so
+            raise UnknownSymbol(f"unknown symbol {a!r}")
+        return tuple([nfa._step(s, a) for (_, nfa), s in zip(self.levels, masks)])
+
+    def _value(self, masks: tuple[int, ...]) -> Thfe:
+        """The join of the keys whose subset accepts, {0} when none does."""
+        return sup_combination_n([k for (k, nfa), s in zip(self.levels, masks) if nfa._value(s)])
+
+    def _name(self, i: int, masks: tuple[int, ...]) -> str:
+        return f"v{i}"
 
 
 def level_errors(
@@ -116,23 +131,20 @@ def union_nthfa(m1: Nthfa, m2: Nthfa) -> Nthfa:
     return Nthfa(states, m1.alphabet, psi, fresh, final)
 
 
-def _views(a, b) -> tuple[_View, _View]:
-    """The views of two operands; one view serves both when they are the
-    same object, so its states are computed once."""
+def _product(a, b, combine: Callable) -> _View:
+    """The synchronized product of the views of two operands over the same
+    alphabet, explored in the order of ``a``'s, on pairs of their state
+    numbers.  A pair's value is ``combine`` of the values of its states, and
+    its name is "(q,p)" after theirs.  One view serves both operands when
+    they are the same object, so its states are computed once."""
+    _require_same_alphabet(a, b)
     va = a._view()
-    return va, (va if b is a else b._view())
-
-
-def _product(alphabet: Sequence[str], views: Sequence[_View], combine: Callable) -> _View:
-    """The synchronized product of any number of views over ``alphabet``,
-    on tuples of their state numbers.  A tuple's value is ``combine`` over
-    the values of its states, and its name is "(q,p,...)" after theirs.
-    The product of no views has one state."""
+    vb = va if b is a else b._view()
     return _View(
-        alphabet, (0,) * len(views),
-        lambda t, a: tuple([v.step(i, a) for v, i in zip(views, t)]),
-        lambda t: combine(*[v.values[i] for v, i in zip(views, t)]),
-        lambda i, t: _product_name([v.name(j) for v, j in zip(views, t)]),
+        a.alphabet, (0, 0),
+        lambda t, s: (va.step(t[0], s), vb.step(t[1], s)),
+        lambda t: combine(va.values[t[0]], vb.values[t[1]]),
+        lambda i, t: _product_name(va.name(t[0]), vb.name(t[1])),
     )
 
 
@@ -146,7 +158,7 @@ def _materialize(view: _View, numbered: bool = False) -> Cdthfa:
     return Cdthfa(names, view.alphabet, view.named_delta(names), names[0], final)
 
 
-def compute_range(m: Nthfa | Cnthfa | Cdthfa) -> frozenset[Thfe]:
+def compute_range(m: Nthfa | Cnthfa | Cdthfa | LevelDecomposition) -> frozenset[Thfe]:
     """The exact set of values the language attains over all words: the
     values of the states of the machine's view."""
     view = m._view()
@@ -168,7 +180,7 @@ def _level_nfas(d: Cdthfa, keys: Iterable[Thfe]) -> Iterator[tuple[Thfe, Nfa]]:
         yield k, nfa._with_finals(finals)
 
 
-def decompose(m: Nthfa | Cnthfa | Cdthfa) -> LevelDecomposition:
+def decompose(m: Nthfa | Cnthfa | Cdthfa | LevelDecomposition) -> LevelDecomposition:
     """One level automaton per range value, keys sorted ascending: the
     machine's view, states v0, v1, ... in search order, final where their
     value dominates the key (a word's value is the fold over its vectors; it
@@ -180,26 +192,20 @@ def decompose(m: Nthfa | Cnthfa | Cdthfa) -> LevelDecomposition:
 
 def eval_decomposition(l: LevelDecomposition, w: Sequence[str]) -> Thfe:
     """Join of all level keys whose NFA accepts ``w``; {0} when none does."""
-    return sup_combination_n(k for k, nfa in l.levels if nfa.accepts(w))
+    return l.eval(w)
 
 
 def recompose(l: LevelDecomposition) -> Nthfa:
     """Collapse a level decomposition back into a single Nthfa.
 
-    One product of the levels' subset constructions is explored over the
-    decomposition's alphabet: a state is a tuple of subsets, one per level,
-    and its value is the join of the keys whose subset accepts, {0} when
-    none does, which is eval_decomposition(l, .) pointwise.  Its reachable
+    The decomposition's own view is explored: a state is a tuple of subsets,
+    one per level, and its value is the join of the keys whose subset
+    accepts, {0} when none does, which is l.eval pointwise.  Its reachable
     states, named v0, v1, ... in the order the search meets them, become an
     Nthfa with weight {1} on each transition.  No levels give one state
     valued {0}.
     """
-    keys = [k for k, _ in l.levels]
-    product = _product(
-        l.alphabet, [nfa._view() for _, nfa in l.levels],
-        lambda *accepts: sup_combination_n([k for k, yes in zip(keys, accepts) if yes]),
-    )
-    return embed_cnthfa(_materialize(product, numbered=True).as_cnthfa())
+    return embed_cnthfa(_materialize(l._view(), numbered=True).as_cnthfa())
 
 
 def embed_cnthfa(n: Cnthfa) -> Nthfa:
@@ -260,8 +266,7 @@ def intersect_cdthfa(a, b) -> Cdthfa:
     the operands' deterministic views are built; a pair "(q,p)" names a
     Cdthfa state, a Cnthfa subset or an Nthfa vector v0, v1, ..., numbered
     in the order the left operand's alphabet explores them."""
-    _require_same_alphabet(a, b)
-    return _materialize(_product(a.alphabet, _views(a, b), inf_combination))
+    return _materialize(_product(a, b, inf_combination))
 
 
 def equivalent(a, b) -> EquivalenceVerdict:
@@ -276,8 +281,7 @@ def equivalent(a, b) -> EquivalenceVerdict:
     the earliest distinguishing word in length-then-alphabet enumeration
     order.
     """
-    _require_same_alphabet(a, b)
-    pairs = _product(a.alphabet, _views(a, b), lambda x, y: x != y)
+    pairs = _product(a, b, lambda x, y: x != y)
     i = pairs.explore(stop=pairs.values.__getitem__)
     if i is None:
         return EquivalenceVerdict(equivalent=True, counterexample=None)

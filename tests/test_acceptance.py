@@ -475,6 +475,14 @@ CLI_COMMANDS = [
     ("range", "det.json"),
     ("decompose", "crisp.json"),
     ("decompose", "det.json"),
+    ("eval", "levels.json", "aa"),
+    ("determinize", "m1.json"),
+    ("crispify", "classic_dfa.json"),
+    ("embed", "m1.json"),
+    ("recompose", "m1.json"),
+    ("range", "classic_nfa.json"),
+    ("equiv", "m1.json", "levels.json"),
+    ("oracle-check", "classic_nfa.json"),
 ]
 
 

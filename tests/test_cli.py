@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hfa.classic
+import hfa.hesitant
 from hfa import Thfe, parse_document
 from hfa.cli import main
 
@@ -258,9 +259,19 @@ class TestValidate:
 
 class TestOracleCheck:
     def test_single_machine_matches_reference(self, capsys, fixtures_dir):
-        code, out, _ = run(capsys, "oracle-check", fx(fixtures_dir, "m1.json"))
-        assert code == 0
-        assert "all values match the reference" in out
+        for name in ("m1.json", "crisp.json", "det.json"):
+            code, out, _ = run(capsys, "oracle-check", fx(fixtures_dir, name))
+            assert code == 0
+            assert "all values match the reference" in out
+
+    @pytest.mark.parametrize("name, kind", [("crisp.json", "Cnthfa"), ("det.json", "Cdthfa")])
+    def test_single_crisp_document_checks_its_own_eval(
+        self, capsys, fixtures_dir, monkeypatch, name, kind
+    ):
+        monkeypatch.setattr(getattr(hfa.hesitant, kind), "eval", lambda self, w: Thfe([1]))
+        code, out, _ = run(capsys, "oracle-check", fx(fixtures_dir, name))
+        assert code == 1
+        assert out.splitlines()[0] == "mismatch"
 
     def test_pair_mode_agreement(self, capsys, fixtures_dir):
         path = fx(fixtures_dir, "m1.json")

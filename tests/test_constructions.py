@@ -147,8 +147,11 @@ class TestDecompose:
         for _ in range(10):
             m = random_nthfa(rng, max_states=2)
             d = decompose(m)
+            assert equivalent(d, m).equivalent
+            assert compute_range(d) == compute_range(m)
+            p = intersect_cdthfa(d, m)
             for w in iter_words(m.alphabet, 4):
-                assert eval_decomposition(d, w) == m.eval(w)
+                assert eval_decomposition(d, w) == m.eval(w) == p.eval(w)
 
     def test_duplicate_keys_rejected(self, m1):
         nfa = level_automaton(m1, ONE)
@@ -176,6 +179,9 @@ class TestRecompose:
         assert r.states == ("v0",)
         for w in iter_words(("a", "b"), 3):
             assert r.eval(w) == value_by_runs(l, w) == ZERO
+        for x in (l, r):
+            with pytest.raises(UnknownSymbol, match="unknown symbol 'z'"):
+                x.eval(("z",))
 
     def test_result_is_zero_one(self, m1):
         assert recompose(decompose(m1)).is_zero_one()
@@ -188,7 +194,8 @@ class TestRecompose:
             r = recompose(l)
             assert r.states == tuple(f"v{i}" for i in range(len(r.states)))
             for w in iter_words(l.alphabet, 4):
-                assert r.eval(w) == value_by_runs(l, w), (l.levels, w)
+                assert r.eval(w) == l.eval(w) == value_by_runs(l, w), (l.levels, w)
+            assert equivalent(l, r).equivalent
             for _, nfa in l.levels:
                 rows = [nfa.delta.get((q, a), ()) for q in nfa.states for a in nfa.alphabet]
                 nondeterministic += any(len(targets) > 1 for targets in rows)
