@@ -483,6 +483,10 @@ CLI_COMMANDS = [
     ("range", "classic_nfa.json"),
     ("equiv", "m1.json", "levels.json"),
     ("oracle-check", "classic_nfa.json"),
+    ("embed", "det.json"),
+    ("union", "det.json", "crisp.json"),
+    ("union", "zero_one.json", "det.json"),
+    ("oracle-check", "det.json"),
 ]
 
 
