@@ -43,7 +43,7 @@ from .documents import (
     serialize_automaton,
     validate_text,
 )
-from .hesitant import Cdthfa, Cnthfa, Nthfa
+from .hesitant import Nthfa
 
 __all__ = ["main", "build_parser"]
 
@@ -78,12 +78,6 @@ def _load(path: str, accepted: tuple[tuple[str, ...], str]):
         message = f"{path}: expected {expected}, got kind {kind!r}"
         raise DocumentError([Diagnostic("InvalidDocument", message)])
     return result.automaton
-
-
-def _as_nthfa(x: Nthfa | Cnthfa | Cdthfa) -> Nthfa:
-    if isinstance(x, Cdthfa):
-        x = x.as_cnthfa()
-    return embed_cnthfa(x) if isinstance(x, Cnthfa) else x
 
 
 def parse_word(arg: str | None, lambda_flag: bool, alphabet: Sequence[str]) -> tuple[str, ...]:
@@ -131,9 +125,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_union(args) -> int:
-    left = _as_nthfa(_load(args.left, HESITANT))
-    right = _as_nthfa(_load(args.right, HESITANT))
-    _emit(union_nthfa(left, right))
+    _emit(union_nthfa(_load(args.left, HESITANT), _load(args.right, HESITANT)))
     return 0
 
 
@@ -146,12 +138,7 @@ def _cmd_intersect(args) -> int:
 
 def _cmd_determinize(args) -> int:
     x = _load(args.file, SUBSETS)
-    if isinstance(x, Nfa):
-        _emit(x.to_dfa())
-    elif isinstance(x, Cdthfa):
-        _emit(determinize_cnthfa(x.as_cnthfa()))
-    else:
-        _emit(determinize_cnthfa(x))
+    _emit(x.to_dfa() if isinstance(x, Nfa) else determinize_cnthfa(x))
     return 0
 
 
@@ -161,7 +148,7 @@ def _cmd_crispify(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    _emit(_as_nthfa(_load(args.file, CRISP)))
+    _emit(embed_cnthfa(_load(args.file, CRISP)))
     return 0
 
 
@@ -236,7 +223,7 @@ def _cmd_oracle_check(args) -> int:
         # The document's own eval is checked against the reference
         # recursion on its embedding.
         bound = 4 if args.length is None else args.length
-        m = _as_nthfa(left)
+        m = left if isinstance(left, Nthfa) else embed_cnthfa(left)
         count = 0
         for w in iter_words(left.alphabet, bound):
             count += 1

@@ -62,22 +62,27 @@ class LevelDecomposition(_Machine):
     where each NFA accepts the words whose value dominates its key.  The
     represented value of a word is the join of all applicable keys, {0} when
     none applies.  Its machine runs the levels side by side: a state is the
-    tuple of their subset masks."""
+    tuple of their subset masks, one slot per transition table, so levels
+    that share one (decompose's, through Nfa._with_finals) step once."""
 
     def __init__(self, alphabet: Sequence[str], levels: Iterable[tuple[Thfe, Nfa]]):
         self.alphabet = tuple(alphabet)
         self.levels = tuple(levels)
         raise_first(level_errors(self.alphabet, enumerate(self.levels)))
-        self._start = tuple(nfa._start for _, nfa in self.levels)
+        slots: dict[int, int] = {}  # a transition table's identity -> its slot
+        self._slots = [slots.setdefault(id(nfa._successors), len(slots)) for _, nfa in self.levels]
+        self._tables = tuple({i: nfa for (_, nfa), i in zip(self.levels, self._slots)}.values())
+        self._start = tuple(nfa._start for nfa in self._tables)
 
     def _step(self, masks: tuple[int, ...], a: str) -> tuple[int, ...]:
         if a not in self.alphabet:  # also when there is no level to say so
             raise UnknownSymbol(f"unknown symbol {a!r}")
-        return tuple([nfa._step(s, a) for (_, nfa), s in zip(self.levels, masks)])
+        return tuple([nfa._step(s, a) for nfa, s in zip(self._tables, masks)])
 
     def _value(self, masks: tuple[int, ...]) -> Thfe:
         """The join of the keys whose subset accepts, {0} when none does."""
-        return sup_combination_n([k for (k, nfa), s in zip(self.levels, masks) if nfa._value(s)])
+        return sup_combination_n([k for (k, nfa), i in zip(self.levels, self._slots)
+                                  if nfa._value(masks[i])])
 
     def _name(self, i: int, masks: tuple[int, ...]) -> str:
         return f"v{i}"
@@ -107,16 +112,17 @@ def _require_same_alphabet(a, b) -> None:
         )
 
 
-def union_nthfa(m1: Nthfa, m2: Nthfa) -> Nthfa:
+def union_nthfa(m1: Nthfa | Cnthfa | Cdthfa, m2: Nthfa | Cnthfa | Cdthfa) -> Nthfa:
     """Automaton computing the pointwise join of the two input languages.
 
-    Both input machines are copied side by side under "L."/"R." prefixes
-    (which guarantees disjoint state names), and a fresh initial state is
-    added that mirrors every transition leaving either original initial
-    state.  Its final value is the join of the two initial final values, so
-    the empty word also evaluates to the join.
+    Crisp operands are embedded (embed_cnthfa), then both are copied side by
+    side under "L."/"R." prefixes (which guarantees disjoint state names),
+    and a fresh initial state mirrors every transition leaving either
+    initial state.  Its final value is the join of the two initial final
+    values, so the empty word also evaluates to the join.
     """
     _require_same_alphabet(m1, m2)
+    m1, m2 = (m if isinstance(m, Nthfa) else embed_cnthfa(m) for m in (m1, m2))
     fresh = "q0"
     states = [fresh]
     psi: dict[tuple[str, str, str], Thfe] = {}
@@ -199,21 +205,21 @@ def recompose(l: LevelDecomposition) -> Nthfa:
     """Collapse a level decomposition back into a single Nthfa.
 
     The decomposition's own view is explored: a state is a tuple of subsets,
-    one per level, and its value is the join of the keys whose subset
+    one per level table, and its value is the join of the keys whose subset
     accepts, {0} when none does, which is l.eval pointwise.  Its reachable
-    states, named v0, v1, ... in the order the search meets them, become an
-    Nthfa with weight {1} on each transition.  No levels give one state
-    valued {0}.
+    states, named v0, v1, ... in the order the search meets them, form a
+    Cdthfa, embedded as an Nthfa with weight {1} on each transition.  No
+    levels give one state valued {0}.
     """
-    return embed_cnthfa(_materialize(l._view(), numbered=True).as_cnthfa())
+    return embed_cnthfa(_materialize(l._view(), numbered=True))
 
 
-def embed_cnthfa(n: Cnthfa) -> Nthfa:
-    """The Nthfa with weight {1} on every crisp transition and {0} elsewhere;
-    it computes the same language as ``n``."""
-    psi = {
-        (q, a, p): ONE for (q, a), targets in n.delta.items() for p in targets
-    }
+def embed_cnthfa(n: Cnthfa | Cdthfa) -> Nthfa:
+    """The Nthfa with weight {1} on every crisp transition of a Cnthfa or a
+    Cdthfa and {0} elsewhere; it computes the same language as ``n``."""
+    single = isinstance(n, Cdthfa)  # its one target p gives the triple (q, a, p)
+    psi = {(q, a, p): ONE for (q, a), targets in n.delta.items()
+           for p in ((targets,) if single else targets)}
     return Nthfa(n.states, n.alphabet, psi, n.initial, n.final_map)
 
 
@@ -250,13 +256,16 @@ def crispify_nthfa(m: Nthfa) -> Cnthfa:
     return crisp
 
 
-def determinize_cnthfa(n: Cnthfa) -> Cdthfa:
+def determinize_cnthfa(n: Cnthfa | Cdthfa) -> Cdthfa:
     """Subset construction lifted to THFE-valued finals.
 
     Only subsets reachable from {initial} are materialized; a subset's final
     value is the join of its members' final values, and the empty subset
-    (reachable when the crisp transition map is partial) gets {0}.
+    (reachable when the crisp transition map is partial) gets {0}.  A Cdthfa
+    is read as its Cnthfa, so each state q becomes the subset {q}.
     """
+    if isinstance(n, Cdthfa):
+        n = n.as_cnthfa()
     return _materialize(n._view())
 
 

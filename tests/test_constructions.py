@@ -153,6 +153,37 @@ class TestDecompose:
             for w in iter_words(m.alphabet, 4):
                 assert eval_decomposition(d, w) == m.eval(w) == p.eval(w)
 
+    def test_levels_on_one_table_step_once(self, monkeypatch):
+        """decompose's levels share one transition table, so a word steps it
+        once per symbol; levels on tables of their own step one each."""
+        rng = random.Random(7)
+        for _ in range(6):
+            m = random_nthfa(rng, max_states=4, pool=farey_pool(10))
+        l = decompose(m)
+        assert len(l.levels) == 56
+        first = LevelDecomposition(l.alphabet, l.levels[:3])
+        copies = LevelDecomposition(l.alphabet, [
+            (k, Nfa(nfa.states, nfa.alphabet, nfa.delta, nfa.initial, nfa.finals))
+            for k, nfa in first.levels
+        ])
+        words = list(iter_words(m.alphabet, 6))
+        assert len(words) == 127
+        calls = []
+        step = Nfa._step
+
+        def counted(nfa, subset, a):
+            calls.append(a)
+            return step(nfa, subset, a)
+
+        monkeypatch.setattr(Nfa, "_step", counted)
+        values = [l.eval(w) for w in words]
+        assert len(calls) == sum(map(len, words)) == 642
+        calls.clear()
+        assert [copies.eval(w) for w in words] == [first.eval(w) for w in words]
+        assert len(calls) == 4 * 642  # 3 for the copies, 1 for the shared table
+        monkeypatch.undo()
+        assert values == [m.eval(w) for w in words]
+
     def test_duplicate_keys_rejected(self, m1):
         nfa = level_automaton(m1, ONE)
         with pytest.raises(ValueError):
@@ -496,9 +527,10 @@ class TestEquivalent:
             other.states, other.delta, other.final_map)
 
 
-def _oracle_eval(x: Cnthfa | Cdthfa, w) -> Thfe:
-    """The literal path recursion on the {0}/{1} embedding of ``x``."""
-    return reference_eval(embed_cnthfa(x.as_cnthfa() if isinstance(x, Cdthfa) else x), w)
+def _oracle_eval(x: Nthfa | Cnthfa | Cdthfa, w) -> Thfe:
+    """The literal path recursion on ``x``, a crisp machine on its {0}/{1}
+    embedding."""
+    return reference_eval(x if isinstance(x, Nthfa) else embed_cnthfa(x), w)
 
 
 class TestCrispConstructionsAgainstOracle:
@@ -531,7 +563,7 @@ class TestCrispConstructionsAgainstOracle:
         {0}/{1} embedding, the decomposition byte for byte."""
         empty = 0
         for x in self.draws(random.Random(14), 60):
-            m = embed_cnthfa(x.as_cnthfa() if isinstance(x, Cdthfa) else x)
+            m = embed_cnthfa(x)
             assert compute_range(x) == compute_range(m)
             assert serialize_automaton(decompose(x)) == serialize_automaton(decompose(m))
             if isinstance(x, Cnthfa):
@@ -541,7 +573,7 @@ class TestCrispConstructionsAgainstOracle:
 
     def test_determinize(self):
         for x in self.draws(random.Random(11), 30):
-            d = determinize_cnthfa(x.as_cnthfa() if isinstance(x, Cdthfa) else x)
+            d = determinize_cnthfa(x)
             for w in iter_words(x.alphabet, 4):
                 assert d.eval(w) == _oracle_eval(x, w)
 
@@ -578,6 +610,37 @@ class TestCrispConstructionsAgainstOracle:
                     told_apart = _oracle_eval(x, w) != _oracle_eval(other, w)
                     assert told_apart == (not verdict.equivalent)
         assert 30 < verdicts.count(True) < len(verdicts)
+
+
+class TestWeightedConstructionsAgainstOracle:
+    """union, crispify and recompose against the oracle's path recursion on
+    their inputs, on every word up to length 3."""
+
+    def test_union(self):
+        rng = random.Random(15)
+        draws = (random_nthfa, random_cnthfa, random_cdthfa)
+        for draw_a in draws:
+            for draw_b in draws:
+                for _ in range(3):
+                    a = draw_a(rng, max_states=3, alphabet=["a", "b"])
+                    b = draw_b(rng, max_states=3, alphabet=["a", "b"])
+                    u = union_nthfa(a, b)
+                    for w in iter_words(u.alphabet, 3):
+                        want = pairwise_sup_n([_oracle_eval(a, w), _oracle_eval(b, w)])
+                        assert u.eval(w) == want, (a, b, w)
+
+    def test_crispify_and_recompose(self):
+        rng = random.Random(16)
+        normalized = 0
+        for i in range(20):
+            draw = random_zero_one_nthfa if i % 2 else random_nthfa
+            m = draw(rng, max_states=3, alphabet=["a", "b"])
+            c, r = crispify_nthfa(m), recompose(decompose(m))
+            normalized += bool(c.metadata)
+            for w in iter_words(m.alphabet, 3):
+                assert c.eval(w) == r.eval(w) == reference_eval(m, w), (m, w)
+        # Both crispify paths: the zero-one sink and the vector automaton.
+        assert 0 < normalized < 20
 
 
 class TestConstantAutomaton:
