@@ -131,7 +131,7 @@ class _View:
 
     def __init__(self, alphabet: Sequence[str], start: Hashable,
                  step: Callable[[Hashable, str], Hashable], value: Callable,
-                 name: Callable[[int, Hashable], str] | None = None):
+                 name: Callable[[int, Hashable], str]):
         self.alphabet = alphabet
         self.states = [start]
         self.values = [value(start)]
@@ -202,8 +202,9 @@ class _Machine:
     ``alphabet``: a Dfa or Cdthfa its states, an Nfa or Cnthfa its subset
     masks, an Nthfa its value vectors.  Each kind declares ``_start``;
     ``_step(state, symbol)``, which raises UnknownSymbol for a symbol
-    outside the alphabet; ``_value(state)``; and, unless a state is its own
-    name, ``_name(number, state)``."""
+    outside the alphabet; ``_value(state)``; and, unless its states are
+    numbered v0, v1, ... in the order the view meets them,
+    ``_name(number, state)``."""
 
     def eval(self, w: Sequence[str]):
         """The value of the state that ``w`` leads to from the start."""
@@ -215,8 +216,8 @@ class _Machine:
             state = self._step(state, a)
         return state
 
-    def _name(self, i: int, state: str) -> str:
-        return state
+    def _name(self, i: int, state: Hashable) -> str:
+        return f"v{i}"
 
     def _view(self) -> _View:
         """The machine as a view, built only as far as it is read."""
@@ -254,6 +255,9 @@ class Dfa(_Machine):
 
     def _value(self, q: str) -> bool:
         return q in self.finals
+
+    def _name(self, i: int, q: str) -> str:
+        return q  # a state is its own name
 
     accepts = _Machine.eval
 

@@ -43,7 +43,6 @@ from .documents import (
     serialize_automaton,
     validate_text,
 )
-from .hesitant import Nthfa
 
 __all__ = ["main", "build_parser"]
 
@@ -223,7 +222,7 @@ def _cmd_oracle_check(args) -> int:
         # The document's own eval is checked against the reference
         # recursion on its embedding.
         bound = 4 if args.length is None else args.length
-        m = left if isinstance(left, Nthfa) else embed_cnthfa(left)
+        m = embed_cnthfa(left)
         count = 0
         for w in iter_words(left.alphabet, bound):
             count += 1

@@ -19,6 +19,12 @@ first pair whose values differ.  Every exploration, the subset construction
 of a classical Nfa included, runs in classic._View.explore under the one
 budget classic.DEFAULT_MAX_VECTORS.
 
+Materialized, a view names its states as its kind does (classic._Machine):
+a Dfa or Cdthfa state keeps its name, a subset is "{q,p}", and a value
+vector or a tuple of level subsets is v0, v1, ... in search order.
+decompose alone numbers every kind's states.  embed_cnthfa reads any
+hesitant kind as an Nthfa, so union_nthfa and oracle-check take every kind.
+
 recompose is the paper's construction of a machine from its level cuts: the
 decomposition's own view, which runs the cuts side by side.  Crispification
 and equivalence pass through neither it nor decompose.
@@ -84,9 +90,6 @@ class LevelDecomposition(_Machine):
         return sup_combination_n([k for (k, nfa), i in zip(self.levels, self._slots)
                                   if nfa._value(masks[i])])
 
-    def _name(self, i: int, masks: tuple[int, ...]) -> str:
-        return f"v{i}"
-
 
 def level_errors(
     alphabet: Sequence[str], levels: Iterable[tuple[int, tuple[Thfe, Nfa]]]
@@ -122,7 +125,7 @@ def union_nthfa(m1: Nthfa | Cnthfa | Cdthfa, m2: Nthfa | Cnthfa | Cdthfa) -> Nth
     values, so the empty word also evaluates to the join.
     """
     _require_same_alphabet(m1, m2)
-    m1, m2 = (m if isinstance(m, Nthfa) else embed_cnthfa(m) for m in (m1, m2))
+    m1, m2 = embed_cnthfa(m1), embed_cnthfa(m2)
     fresh = "q0"
     states = [fresh]
     psi: dict[tuple[str, str, str], Thfe] = {}
@@ -211,12 +214,15 @@ def recompose(l: LevelDecomposition) -> Nthfa:
     Cdthfa, embedded as an Nthfa with weight {1} on each transition.  No
     levels give one state valued {0}.
     """
-    return embed_cnthfa(_materialize(l._view(), numbered=True))
+    return embed_cnthfa(_materialize(l._view()))
 
 
-def embed_cnthfa(n: Cnthfa | Cdthfa) -> Nthfa:
+def embed_cnthfa(n: Nthfa | Cnthfa | Cdthfa) -> Nthfa:
     """The Nthfa with weight {1} on every crisp transition of a Cnthfa or a
-    Cdthfa and {0} elsewhere; it computes the same language as ``n``."""
+    Cdthfa and {0} elsewhere; it computes the same language as ``n``.  An
+    Nthfa is returned as it is."""
+    if isinstance(n, Nthfa):
+        return n
     single = isinstance(n, Cdthfa)  # its one target p gives the triple (q, a, p)
     psi = {(q, a, p): ONE for (q, a), targets in n.delta.items()
            for p in ((targets,) if single else targets)}

@@ -19,7 +19,10 @@ The structural rules live with the constructors, as checkers that yield
 every break (classic for headers, names and totality, hesitant for final
 maps, constructions for levels).  The parser adds the checks of JSON shape,
 reports every break that a rule's checker yields, and puts the position in
-front ("transition 3: ", "level 1: ").
+the document in front ("transition 3: ", "level 1: ").  Each transition row
+is read once, every check of it in one pass, so the diagnostics of the rows
+come in row order.  Text that is not JSON, nested too deep, or holding an
+integer too long to convert is a SyntaxError.
 
 Parsing reports problems as Diagnostic values.  parse_document raises
 DocumentError when any error-level diagnostic occurs and otherwise returns
@@ -153,6 +156,9 @@ def _parse(text: str) -> tuple[Automaton | None, _Report]:
     except RecursionError:
         report.error("SyntaxError", "nesting is too deep to parse")
         return None, report
+    except ValueError:  # an integer with more digits than int() converts
+        report.error("SyntaxError", "a number has too many digits to parse")
+        return None, report
     if not isinstance(raw, dict):
         report.error("InvalidDocument", "top-level value must be an object")
         return None, report
@@ -230,39 +236,13 @@ def _parse_thfe(value, where: str, report: _Report) -> Thfe | None:
         return None
     # Each degree is parsed once: the canonical tuple is wrapped as it is.
     thfe = _trusted(tuple(sorted(degrees)))
-    canonical = [format_degree(d) for d in thfe]
+    canonical = _thfe_json(thfe)
     if canonical != value:
         report.warn(
             "CanonicalizedValue",
             f"{where}: {value} was canonicalized to {canonical}",
         )
     return thfe
-
-
-def _transition_rows(
-    raw: dict, keys: tuple[str, ...], report: _Report
-) -> list[dict] | None:
-    rows = raw.get("transitions")
-    if not isinstance(rows, list):
-        report.error("InvalidDocument", "field 'transitions' must be an array")
-        return None
-    usable = []
-    for i, row in enumerate(rows):
-        where = f"transition {i}"
-        if not isinstance(row, dict):
-            report.error("InvalidDocument", f"{where}: must be an object")
-            continue
-        missing = [k for k in keys if k not in row]
-        if missing:
-            report.error(
-                "InvalidDocument", f"{where}: missing field(s) {', '.join(missing)}"
-            )
-            continue
-        for key in row:
-            if key not in keys:
-                report.warn("IgnoredField", f"{where}: unknown field {key!r} ignored")
-        usable.append(row)
-    return usable
 
 
 def _check_name(
@@ -359,20 +339,33 @@ def _parse_transitions(
     kind: _Kind, raw: dict, alphabet: list[str], states: dict[str, int], report: _Report
 ) -> dict | None:
     """The transition map of a ``kind`` document: (from, symbol) to a target
-    or a target list, or, for weighted kinds, (from, symbol, to) to a THFE."""
-    keys = ("from", "symbol", "to", "value") if kind.weighted else ("from", "symbol", "to")
-    rows = _transition_rows(raw, keys, report)
-    if rows is None:
+    or a target list, or, for weighted kinds, (from, symbol, to) to a THFE.
+    Each row is read once, and named by its position in the document."""
+    rows = raw.get("transitions")
+    if not isinstance(rows, list):
+        report.error("InvalidDocument", "field 'transitions' must be an array")
         return None
+    keys = ("from", "symbol", "to", "value") if kind.weighted else ("from", "symbol", "to")
     delta: dict = {}
     for i, row in enumerate(rows):
         where = f"transition {i}"
+        if not isinstance(row, dict):
+            report.error("InvalidDocument", f"{where}: must be an object")
+            continue
+        if missing := [k for k in keys if k not in row]:
+            report.error("InvalidDocument", f"{where}: missing field(s) {', '.join(missing)}")
+            continue
+        for key in row:
+            if key not in keys:
+                report.warn("IgnoredField", f"{where}: unknown field {key!r} ignored")
         source = _check_name(row, "from", states, where, report)
         symbol = _check_name(row, "symbol", alphabet, where, report)
-        if kind.multi_target:
-            target = _check_target_list(row, where, report)
-        else:
+        target = row["to"]
+        if not kind.multi_target:
             target = _check_name(row, "to", states, where, report)
+        elif not isinstance(target, list) or not all(isinstance(t, str) for t in target):
+            report.error("InvalidDocument", f"{where}: field 'to' must be an array of states")
+            target = None
         # What the map stores: the weight, or else the target itself.
         value = _parse_thfe(row["value"], where, report) if kind.weighted else target
         if source is None or symbol is None or target is None or value is None:
@@ -394,14 +387,6 @@ def _parse_transitions(
             )
         delta[key] = value
     return delta
-
-
-def _check_target_list(row: dict, where: str, report: _Report) -> list[str] | None:
-    targets = row["to"]
-    if isinstance(targets, list) and all(isinstance(t, str) for t in targets):
-        return targets
-    report.error("InvalidDocument", f"{where}: field 'to' must be an array of states")
-    return None
 
 
 def _canonical_targets(

@@ -116,9 +116,6 @@ class Nthfa(_Machine):
             if v is not ZERO
         ])
 
-    def _name(self, i: int, vector: _Vector) -> str:
-        return f"v{i}"
-
     def _as_tuple(self, vector: StateValueVector) -> _Vector:
         try:
             return tuple(vector[q] for q in self.states)

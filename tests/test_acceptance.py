@@ -487,6 +487,8 @@ CLI_COMMANDS = [
     ("union", "det.json", "crisp.json"),
     ("union", "zero_one.json", "det.json"),
     ("oracle-check", "det.json"),
+    ("decompose", "key_order.json"),
+    ("range", "key_order.json"),
 ]
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,12 @@ class TestValidate:
         assert "5000 digits" in lines[0]
         assert run(capsys, "eval", str(path), "a")[0] == 2
 
+    @pytest.mark.parametrize("argv", [("validate",), ("eval", "a")], ids=lambda c: c[0])
+    def test_integer_past_the_digit_limit_exits_two(self, capsys, fixtures_dir, argv):
+        code, out, err = run(capsys, argv[0], fx(fixtures_dir, "huge_number.json"), *argv[1:])
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and err.count("error: ") == 1
+
 
 class TestOracleCheck:
     def test_single_machine_matches_reference(self, capsys, fixtures_dir):
@@ -436,3 +443,10 @@ def test_cold_start_loads_no_oracle_or_dataclasses():
     loaded = set(done.stdout.split())
     assert "hfa.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "hfa.oracle"}
+
+
+def test_readme_documents_the_public_surface():
+    """Every name the package exports starts an inline code span in README."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in hfa.__all__ if not re.search(rf"`{name}\b", readme)]
+    assert not missing, f"exported but not in README: {missing}"

@@ -26,6 +26,7 @@ from hfa import (
     eval_decomposition,
     intersect_cdthfa,
     leq,
+    parse_document,
     recompose,
     serialize_automaton,
     sup_combination,
@@ -141,6 +142,14 @@ class TestDecompose:
         d = decompose(m1)
         keys = [k for k, _ in d.levels]
         assert keys == sorted(compute_range(m1), key=lambda t: t.degrees)
+
+    def test_keys_ascend_by_degree_tuple(self, fixtures_dir):
+        """{0, 1} sorts before {1/2} by ascending degree tuples, and after
+        it by reversed ones."""
+        m = parse_document((fixtures_dir / "key_order.json").read_text("utf-8")).automaton
+        keys = [k for k, _ in decompose(m).levels]
+        assert keys == [ZERO, Thfe(["0", "1"]), Thfe(["1/2"])]
+        assert keys != sorted(keys, key=lambda t: t.degrees[::-1])
 
     def test_eval_decomposition_matches_machine(self):
         rng = random.Random(53)
@@ -302,6 +311,9 @@ class TestEmbed:
         for (q, a), targets in c.delta.items():
             for p in targets:
                 assert m.psi_value(q, a, p) == ONE
+
+    def test_nthfa_is_returned_as_it_is(self, m1):
+        assert embed_cnthfa(m1) is m1
 
 
 class TestCrispify:
@@ -530,7 +542,7 @@ class TestEquivalent:
 def _oracle_eval(x: Nthfa | Cnthfa | Cdthfa, w) -> Thfe:
     """The literal path recursion on ``x``, a crisp machine on its {0}/{1}
     embedding."""
-    return reference_eval(x if isinstance(x, Nthfa) else embed_cnthfa(x), w)
+    return reference_eval(embed_cnthfa(x), w)
 
 
 class TestCrispConstructionsAgainstOracle:

@@ -190,6 +190,38 @@ class TestParseErrors:
     def test_missing_fields(self):
         assert "InvalidDocument" in codes_of('{"kind": "nthfa"}')
 
+    def test_rows_are_named_by_document_position(self, fixtures_dir):
+        """A row skipped for its shape does not shift the numbers of the
+        rows after it."""
+        text = (fixtures_dir / "two_broken_rows.json").read_text(encoding="utf-8")
+        assert [str(d) for d in validate_text(text)] == [
+            "InvalidDocument: transition 0: missing field(s) to",
+            "UnknownState: transition 1: state 'x' is not declared",
+        ]
+
+    def test_row_diagnostics_come_in_row_order(self):
+        rows = [{"from": "ghost", "symbol": "a", "to": "q0", "value": ["1"]},
+                {"from": "q0", "symbol": "a", "to": "q0"},
+                {"from": "q0", "symbol": "z", "to": "q0", "value": ["1"], "note": 1}]
+        text = json.dumps({
+            "kind": "nthfa", "alphabet": ["a"], "states": ["q0"],
+            "initial": "q0", "transitions": rows, "final": {},
+        })
+        assert [str(d) for d in validate_text(text)] == [
+            "UnknownState: transition 0: state 'ghost' is not declared",
+            "InvalidDocument: transition 1: missing field(s) value",
+            "UnknownSymbol: transition 2: symbol 'z' is not declared",
+            "IgnoredField: transition 2: unknown field 'note' ignored",
+        ]
+
+    def test_integer_past_the_digit_limit_is_a_syntax_error(self, fixtures_dir):
+        """Where the interpreter refuses to convert the integer, the document
+        is unparsable; where it converts it, "initial" is not a string."""
+        text = (fixtures_dir / "huge_number.json").read_text(encoding="utf-8")
+        assert [d.code for d in validate_text(text)] in (["SyntaxError"], ["InvalidDocument"])
+        with pytest.raises(DocumentError):
+            parse_document(text)
+
     def test_parse_document_raises_with_diagnostics(self):
         with pytest.raises(DocumentError) as exc:
             parse_document('{"kind": "nthfa"}')
