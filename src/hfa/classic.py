@@ -6,7 +6,9 @@ construction output, and therefore byte-level reproducibility of anything
 serialized downstream.
 
 Every automaton kind is the deterministic machine it runs (a _Machine),
-from which the one fold over a word and the one view builder derive.
+from which the one fold over a word and the one view builder derive.  The
+fold checks each symbol of a word, so a kind's _step only gets symbols of
+its alphabet.
 
 Inside an Nfa a subset of states is an int with bit i set for the i-th
 declared state, and one step ORs the successor masks of its members, which
@@ -175,9 +177,18 @@ class _View:
                     raise ClosureBudgetExceeded(f"more than {budget} reachable states")
         return None
 
-    def named_delta(self, names: Sequence[str]) -> dict[tuple[str, str], str]:
-        """The transitions with state numbers replaced by ``names``."""
-        return {(names[i], a): names[j] for (i, a), j in self.delta.items()}
+    def named(self, numbered: bool = False) -> tuple[list[str], dict[tuple[str, str], str]]:
+        """Explores the view, then returns its state names in number order and
+        the transitions between them: its own names or, if ``numbered``, v0, v1, ..."""
+        self.explore()
+        name = _numbered if numbered else self._name
+        names = [name(i, q) for i, q in enumerate(self.states)]
+        return names, {(names[i], a): names[j] for (i, a), j in self.delta.items()}
+
+
+def _numbered(i: int, state: Hashable) -> str:
+    """The name of the ``i``-th state a view meets: v0, v1, ..."""
+    return f"v{i}"
 
 
 def _escape(name: str) -> str:
@@ -201,10 +212,11 @@ class _Machine:
     """An automaton kind as the deterministic machine it runs over
     ``alphabet``: a Dfa or Cdthfa its states, an Nfa or Cnthfa its subset
     masks, an Nthfa its value vectors.  Each kind declares ``_start``;
-    ``_step(state, symbol)``, which raises UnknownSymbol for a symbol
-    outside the alphabet; ``_value(state)``; and, unless its states are
+    ``_step(state, symbol)``; ``_value(state)``; and, unless its states are
     numbered v0, v1, ... in the order the view meets them,
-    ``_name(number, state)``."""
+    ``_name(number, state)``.  ``_step`` only gets symbols of the alphabet:
+    _run checks a word's symbols before it steps them, a view steps its own
+    alphabet, and a product checks that its operands share one."""
 
     def eval(self, w: Sequence[str]):
         """The value of the state that ``w`` leads to from the start."""
@@ -213,11 +225,12 @@ class _Machine:
     def _run(self, state, w: Sequence[str]):
         """The state reached from ``state`` by one step per symbol of ``w``."""
         for a in w:
+            if a not in self.alphabet:
+                raise UnknownSymbol(f"unknown symbol {a!r}")
             state = self._step(state, a)
         return state
 
-    def _name(self, i: int, state: Hashable) -> str:
-        return f"v{i}"
+    _name = staticmethod(_numbered)
 
     def _view(self) -> _View:
         """The machine as a view, built only as far as it is read."""
@@ -248,10 +261,7 @@ class Dfa(_Machine):
         self._start = initial
 
     def _step(self, q: str, a: str) -> str:
-        try:
-            return self.delta[(q, a)]
-        except KeyError:  # the function is total, so ``a`` is no symbol
-            raise UnknownSymbol(f"unknown symbol {a!r}") from None
+        return self.delta[(q, a)]
 
     def _value(self, q: str) -> bool:
         return q in self.finals
@@ -325,10 +335,7 @@ class Nfa(_Machine):
 
     def _step(self, subset: int, a: str) -> int:
         """The subset mask reached from ``subset`` by reading ``a``."""
-        try:
-            successors = self._successors[a]
-        except KeyError:
-            raise UnknownSymbol(f"unknown symbol {a!r}") from None
+        successors = self._successors[a]
         out = 0
         while subset:
             low = subset & -subset
@@ -354,7 +361,6 @@ class Nfa(_Machine):
         DEFAULT_MAX_VECTORS subsets raise ClosureBudgetExceeded.
         """
         view = self._view()
-        view.explore()
-        names = [view.name(i) for i in range(len(view.states))]
+        names, delta = view.named()
         accepting = [name for name, final in zip(names, view.values) if final]
-        return Dfa(names, self.alphabet, view.named_delta(names), names[0], accepting)
+        return Dfa(names, self.alphabet, delta, names[0], accepting)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classic import Nfa, _Machine, _product_name, _View, raise_first
-from .errors import AlphabetMismatch, HfaError, InvalidAutomaton, UnknownSymbol
+from .errors import AlphabetMismatch, HfaError, InvalidAutomaton
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
 
@@ -81,8 +81,6 @@ class LevelDecomposition(_Machine):
         self._start = tuple(nfa._start for nfa in self._tables)
 
     def _step(self, masks: tuple[int, ...], a: str) -> tuple[int, ...]:
-        if a not in self.alphabet:  # also when there is no level to say so
-            raise UnknownSymbol(f"unknown symbol {a!r}")
         return tuple([nfa._step(s, a) for nfa, s in zip(self._tables, masks)])
 
     def _value(self, masks: tuple[int, ...]) -> Thfe:
@@ -161,10 +159,8 @@ def _materialize(view: _View, numbered: bool = False) -> Cdthfa:
     """All reachable states of a view as a Cdthfa, named by the view or, if
     ``numbered``, v0, v1, ... in search order.  For an Nthfa that is its
     vector automaton, so every word evaluates exactly as under the Nthfa."""
-    view.explore()
-    names = [f"v{i}" if numbered else view.name(i) for i in range(len(view.states))]
-    final = dict(zip(names, view.values))
-    return Cdthfa(names, view.alphabet, view.named_delta(names), names[0], final)
+    names, delta = view.named(numbered)
+    return Cdthfa(names, view.alphabet, delta, names[0], dict(zip(names, view.values)))
 
 
 def compute_range(m: Nthfa | Cnthfa | Cdthfa | LevelDecomposition) -> frozenset[Thfe]:

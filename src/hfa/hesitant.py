@@ -11,7 +11,8 @@ recursion literally.  One step visits each transition labelled with the
 symbol once, through per-symbol lists of incoming transitions built at
 construction: one inf-combination per transition whose source entry is not
 {0} and one n-ary join per state.  Each kind is a classic._Machine and
-declares only the machine it runs; eval and the view derive from it.
+declares only the machine it runs; eval and the view derive from it, and
+a kind's _step only gets symbols of its alphabet.
 """
 
 from __future__ import annotations
@@ -93,12 +94,8 @@ class Nthfa(_Machine):
         joins vector[q] (x) psi(q, a, p) over the a-transitions into p;
         entries that are the {0} constant are skipped, since their terms are
         {0} and {0} never changes a join."""
-        try:
-            incoming = self._incoming[a]
-        except KeyError:
-            raise UnknownSymbol(f"unknown symbol {a!r}") from None
         out = []
-        for row in incoming:
+        for row in self._incoming[a]:
             pairs = iter(row)
             out.append(sup_combination_n([
                 inf_combination(vector[q], w)
@@ -143,8 +140,12 @@ class Nthfa(_Machine):
         return dict(zip(self.states, self._unit(q)))
 
     def advance(self, vector: StateValueVector, a: str) -> StateValueVector:
-        """One evaluation step: push the vector across all ``a``-transitions."""
-        return dict(zip(self.states, self._step(self._as_tuple(vector), a)))
+        """One evaluation step: push the vector across all ``a``-transitions.
+        A vector that lacks a state is reported before an unknown symbol."""
+        entries = self._as_tuple(vector)
+        if a not in self.alphabet:
+            raise UnknownSymbol(f"unknown symbol {a!r}")
+        return dict(zip(self.states, self._step(entries, a)))
 
     def value_of(self, vector: StateValueVector) -> Thfe:
         """Join every state's vector entry combined with its final value."""

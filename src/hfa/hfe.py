@@ -197,14 +197,10 @@ def inf_combination(x: Thfe, y: Thfe) -> Thfe:
 def sup_combination(x: Thfe, y: Thfe) -> Thfe:
     """Pairwise maximum of two THFEs: {max(a, b) for a in x, b in y}.
 
-    In closed form, every degree of either operand from the larger of the
-    two minima up: {v in x | y : v >= max(min x, min y)}.
+    This is the join of the family {x, y}, whose closed form
+    sup_combination_n computes.
     """
-    xs, ys = x.degrees, y.degrees
-    if xs[0] < ys[0]:
-        xs, ys = ys, xs
-    # All of xs lies at or above min xs = max(min x, min y).
-    return _trusted(_merge(xs, ys[bisect_left(ys, xs[0]):]))
+    return sup_combination_n((x, y))
 
 
 def sup_combination_n(family: Iterable[Thfe]) -> Thfe:

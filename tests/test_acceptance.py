@@ -489,6 +489,13 @@ CLI_COMMANDS = [
     ("oracle-check", "det.json"),
     ("decompose", "key_order.json"),
     ("range", "key_order.json"),
+    ("eval", "m1.json", "z"),
+    ("eval", "multi_token.json", "ab.zz"),
+    ("eval", "levels.json", "z"),
+    ("eval", "m1.json", "--lambda"),
+    ("eval", "m1.json", "a", "--lambda"),
+    ("eval", "m1.json"),
+    ("equiv", "multi_token.json", "multi_token_tail.json"),
 ]
 
 

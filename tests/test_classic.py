@@ -65,6 +65,11 @@ class TestDfa:
         with pytest.raises(UnknownSymbol):
             even_a_dfa().extended("even", ("c",))
 
+    def test_extended_from_unknown_state(self):
+        with pytest.raises(UnknownState) as caught:
+            even_a_dfa().extended("nope", ("a",))
+        assert caught.value.args == ("unknown state 'nope'",)
+
     def test_alphabet_rules(self):
         with pytest.raises(ValueError):
             Dfa(["q"], [], {}, "q", [])
@@ -84,6 +89,16 @@ class TestNfa:
     def test_empty_target_sets_are_dropped(self):
         n = Nfa(["q"], ["a"], {("q", "a"): set()}, "q", [])
         assert ("q", "a") not in n.delta
+
+    def test_transition_with_undeclared_symbol(self):
+        with pytest.raises(UnknownSymbol) as caught:
+            Nfa(["q"], ["a"], {("q", "b"): ["q"]}, "q", [])
+        assert caught.value.args == ("transition ('q', 'b'): symbol 'b' is not declared",)
+
+    def test_extended_from_unknown_state(self):
+        with pytest.raises(UnknownState) as caught:
+            ends_in_ab_nfa().extended("nope", ("a",))
+        assert caught.value.args == ("unknown state 'nope'",)
 
     def test_successors_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):

@@ -302,6 +302,21 @@ class TestKindSpecificRules:
         ]
         assert result.automaton.delta[("q0", "a")] == frozenset(targets)
 
+    def test_nfa_repairs_warn_and_serialize_canonically(self):
+        text = json.dumps({
+            "kind": "nfa", "alphabet": ["a"], "states": ["q"], "initial": "q",
+            "final": ["q", "q"],
+            "transitions": [{"from": "q", "symbol": "a", "to": []}],
+        })
+        assert [f"{d.severity}: {d}" for d in validate_text(text)] == [
+            "warning: CanonicalizedValue: transition 0: empty target list is omitted "
+            "when serializing",
+            "warning: CanonicalizedValue: duplicate final state 'q' merged",
+        ]
+        document = json.loads(serialize_automaton(parse_document(text).automaton))
+        assert document["transitions"] == []
+        assert document["final"] == ["q"]
+
     def test_decomposition_level_alphabet_must_match(self, m1):
         doc = json.loads(serialize_automaton(decompose(m1)))
         doc["levels"][0]["nfa"]["alphabet"] = ["z"]

@@ -54,6 +54,11 @@ class TestNthfa:
         with pytest.raises(UnknownState):
             Nthfa(["q"], ["a"], {}, "q", {"ghost": ONE})
 
+    def test_transition_to_undeclared_state(self):
+        with pytest.raises(UnknownState) as caught:
+            Nthfa(["q"], ["a"], {("q", "a", "x"): ["1"]}, "q", {})
+        assert caught.value.args == ("transition ('q', 'a', 'x'): state 'x' is not declared",)
+
     def test_metadata_is_copied(self):
         metadata = {"note": "x"}
         m = Nthfa(["q"], ["a"], {}, "q", {}, metadata)
@@ -118,6 +123,12 @@ class TestEvaluationKernel:
              "the vector has no entry for state 'q1'"),
             (lambda: m1.value_of({"q0": ONE}), UnknownState,
              "the vector has no entry for state 'q1'"),
+            # A missing entry is reported before an unknown symbol.
+            (lambda: m1.advance({"q0": ONE}, "z"), UnknownState,
+             "the vector has no entry for state 'q1'"),
+            (lambda: m1.psi_value("q0", "a", "nope"), UnknownState,
+             "unknown state in ('q0', 'a', 'nope')"),
+            (lambda: m1.psi_value("q0", "z", "q1"), UnknownSymbol, "unknown symbol 'z'"),
         ]
         for call, error, message in cases:
             with pytest.raises(error) as caught:
