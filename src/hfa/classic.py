@@ -6,9 +6,9 @@ construction output, and therefore byte-level reproducibility of anything
 serialized downstream.
 
 Every automaton kind is the deterministic machine it runs (a _Machine),
-from which the one fold over a word and the one view builder derive.  The
-fold checks each symbol of a word, so a kind's _step only gets symbols of
-its alphabet.
+from which the one fold over a word and the one view builder derive.  One
+checker, known, checks each state or symbol that a lookup names, the fold's
+too, so a kind's _step only gets symbols of its alphabet.
 
 Inside an Nfa a subset of states is an int with bit i set for the i-th
 declared state, and one step ORs the successor masks of its members, which
@@ -81,6 +81,13 @@ def undeclared(
     for name in names:
         if name not in declared:
             yield error(f"{where}{noun} {name!r} is not declared")
+
+
+def known(noun: str, name: str, declared: Container[str]) -> str:
+    """``name``, if ``declared`` has it; else an UnknownSymbol or UnknownState for ``noun``."""
+    if name not in declared:
+        raise (UnknownSymbol if noun == "symbol" else UnknownState)(f"unknown {noun} {name!r}")
+    return name
 
 
 def transition_errors(
@@ -225,9 +232,7 @@ class _Machine:
     def _run(self, state, w: Sequence[str]):
         """The state reached from ``state`` by one step per symbol of ``w``."""
         for a in w:
-            if a not in self.alphabet:
-                raise UnknownSymbol(f"unknown symbol {a!r}")
-            state = self._step(state, a)
+            state = self._step(state, known("symbol", a, self.alphabet))
         return state
 
     _name = staticmethod(_numbered)
@@ -273,9 +278,7 @@ class Dfa(_Machine):
 
     def extended(self, q: str, w: Sequence[str]) -> str:
         """Fold the transition function over ``w`` starting at ``q``."""
-        if q not in self._state_set:
-            raise UnknownState(f"unknown state {q!r}")
-        return self._run(q, w)
+        return self._run(known("state", q, self._state_set), w)
 
 
 class Nfa(_Machine):
@@ -329,9 +332,8 @@ class Nfa(_Machine):
 
     def extended(self, q: str, w: Sequence[str]) -> frozenset[str]:
         """All states reachable from ``q`` along ``w``; may be empty."""
-        if q not in self._position:
-            raise UnknownState(f"unknown state {q!r}")
-        return frozenset(self._members(self._run(self._mask([q]), w)))
+        start = self._mask([known("state", q, self._position)])
+        return frozenset(self._members(self._run(start, w)))
 
     def _step(self, subset: int, a: str) -> int:
         """The subset mask reached from ``subset`` by reading ``a``."""

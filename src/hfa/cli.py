@@ -299,7 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # In "eval FILE --lambda WORD" the word is left over; parse_word reports it.
+    if args.command == "eval" and args.word is None and len(extra) == 1 and extra[0][:1] != "-":
+        (args.word,) = extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ClosureBudgetExceeded as exc:

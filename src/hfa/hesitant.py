@@ -11,8 +11,8 @@ recursion literally.  One step visits each transition labelled with the
 symbol once, through per-symbol lists of incoming transitions built at
 construction: one inf-combination per transition whose source entry is not
 {0} and one n-ary join per state.  Each kind is a classic._Machine and
-declares only the machine it runs; eval and the view derive from it, and
-a kind's _step only gets symbols of its alphabet.
+declares only the machine it runs; eval and the view derive from it.  The
+fold and every Nthfa lookup check the names they get with classic.known.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .classic import Dfa, Nfa, _Machine, checked_header, raise_first, transition_errors, undeclared
-from .errors import UnknownState, UnknownSymbol
+from .classic import (
+    Dfa, Nfa, _Machine, checked_header, known, raise_first, transition_errors, undeclared,
+)
+from .errors import UnknownState
 from .hfe import ONE, ZERO, DegreeCodec, Thfe, inf_combination, sup_combination_n
 
 __all__ = ["Nthfa", "Cnthfa", "Cdthfa"]
@@ -49,8 +51,8 @@ class Nthfa(_Machine):
     The transition map is stored sparsely: triples whose value is {0} are
     dropped on construction, and lookups of absent triples return {0}.  The
     final map is total; states missing from the given mapping default to {0}.
-    The transition map is read once, at construction, into the evaluation
-    kernel's per-symbol tables of incoming transitions.
+    The transition map is read in one loop at construction, which checks each
+    triple, drops {0} weights and fills the kernel's per-symbol incoming tables.
     """
 
     def __init__(
@@ -64,25 +66,22 @@ class Nthfa(_Machine):
     ):
         self.alphabet, self.states = checked_header(alphabet, states, initial)
         self.initial = initial
-        # State name to position in ``states``, which is also the position
-        # in the kernel's vectors.
-        self._index = {q: i for i, q in enumerate(self.states)}
+        # State name to its position in ``states`` and in the kernel's vectors.
+        self._index = index = {q: i for i, q in enumerate(self.states)}
         self.psi: dict[tuple[str, str, str], Thfe] = {}
+        # Per symbol, per target state: source index and weight of each
+        # incoming transition, flattened into one tuple to keep it small.
+        incoming: dict[str, list[list]] = {a: [[] for _ in self.states] for a in self.alphabet}
         for (q, a, p), raw in psi.items():
-            if q not in self._index or a not in self.alphabet or p not in self._index:
-                raise_first(transition_errors((q, a, p), (p,), self._index, self.alphabet))
+            if q not in index or a not in incoming or p not in index:
+                raise_first(transition_errors((q, a, p), (p,), index, self.alphabet))
             value = _as_thfe(raw)
             if value != ZERO:
                 self.psi[(q, a, p)] = value
+                incoming[a][index[p]] += (index[q], value)
+        self._incoming = {a: tuple(map(tuple, rows)) for a, rows in incoming.items()}
         self.final_map = _total_final_map(self.states, final_map)
         self.metadata = dict(metadata) if metadata else {}
-        index = self._index
-        incoming: dict[str, list[list]] = {a: [[] for _ in self.states] for a in self.alphabet}
-        for (q, a, p), value in self.psi.items():
-            incoming[a][index[p]] += (index[q], value)
-        # Per symbol, per target state: source index and weight of each
-        # incoming transition, flattened into one tuple to keep it small.
-        self._incoming = {a: tuple(map(tuple, rows)) for a, rows in incoming.items()}
         self._start = self._unit(self.initial)
 
     def _unit(self, q: str) -> _Vector:
@@ -123,9 +122,7 @@ class Nthfa(_Machine):
         """Transition weight of the triple; absent triples weigh {0}."""
         if q not in self._index or p not in self._index:
             raise UnknownState(f"unknown state in ({q!r}, {a!r}, {p!r})")
-        if a not in self.alphabet:
-            raise UnknownSymbol(f"unknown symbol {a!r}")
-        return self.psi.get((q, a, p), ZERO)
+        return self.psi.get((q, known("symbol", a, self.alphabet), p), ZERO)
 
     def is_zero_one(self) -> bool:
         """True iff every transition weight is {0} or {1}."""
@@ -133,19 +130,14 @@ class Nthfa(_Machine):
 
     def initial_vector(self, q: str | None = None) -> StateValueVector:
         """The start-of-word vector: {1} at ``q`` (default initial), {0} elsewhere."""
-        if q is None:
-            q = self.initial
-        elif q not in self._index:
-            raise UnknownState(f"unknown state {q!r}")
+        q = self.initial if q is None else known("state", q, self._index)
         return dict(zip(self.states, self._unit(q)))
 
     def advance(self, vector: StateValueVector, a: str) -> StateValueVector:
         """One evaluation step: push the vector across all ``a``-transitions.
         A vector that lacks a state is reported before an unknown symbol."""
         entries = self._as_tuple(vector)
-        if a not in self.alphabet:
-            raise UnknownSymbol(f"unknown symbol {a!r}")
-        return dict(zip(self.states, self._step(entries, a)))
+        return dict(zip(self.states, self._step(entries, known("symbol", a, self.alphabet))))
 
     def value_of(self, vector: StateValueVector) -> Thfe:
         """Join every state's vector entry combined with its final value."""
@@ -153,9 +145,8 @@ class Nthfa(_Machine):
 
     def psi_hat(self, q: str, w: Sequence[str], p: str) -> Thfe:
         """The extended transition weight: entry ``p`` of the fold over ``w`` from {1} at ``q``."""
-        if p not in self._index:
-            raise UnknownState(f"unknown state {p!r}")
-        return self._run(self._as_tuple(self.initial_vector(q)), w)[self._index[p]]
+        i = self._index[known("state", p, self._index)]
+        return self._run(self._unit(known("state", q, self._index)), w)[i]
 
 
 class _Crisp(_Machine):

@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_ERRORS = "tests/test_hesitant.py::TestEvaluationKernel::test_errors_and_messages"
+EQUIVALENT_TESTS = "tests/test_constructions.py::TestEquivalent"
+EARLIEST = f"{EQUIVALENT_TESTS}::test_counterexample_is_verified_and_earliest"
 
 
 class Mutant(NamedTuple):
@@ -40,11 +42,15 @@ class Mutant(NamedTuple):
 MUTANTS = {
     "the fold steps a symbol outside the alphabet": Mutant(
         "src/hfa/classic.py",
-        "            if a not in self.alphabet:\n"
-        "                raise UnknownSymbol(f\"unknown symbol {a!r}\")\n"
-        "            state = self._step(state, a)\n",
-        "            state = self._step(state, a)\n",
+        'state = self._step(state, known("symbol", a, self.alphabet))',
+        "state = self._step(state, a)",
         (KERNEL_ERRORS, "tests/test_classic.py::TestDfa::test_unknown_names_rejected"),
+    ),
+    "the checker raises UnknownState for an unknown symbol": Mutant(
+        "src/hfa/classic.py",
+        'raise (UnknownSymbol if noun == "symbol" else UnknownState)(',
+        "raise UnknownState(",
+        (KERNEL_ERRORS,),
     ),
     "numbered states start at v1": Mutant(
         "src/hfa/classic.py", 'return f"v{i}"', 'return f"v{i + 1}"',
@@ -65,22 +71,19 @@ MUTANTS = {
     ),
     "an Nthfa transition skips its target check": Mutant(
         "src/hfa/hesitant.py",
-        "if q not in self._index or a not in self.alphabet or p not in self._index:",
-        "if q not in self._index or a not in self.alphabet:",
+        "if q not in index or a not in incoming or p not in index:",
+        "if q not in index or a not in incoming:",
         ("tests/test_hesitant.py::TestNthfa::test_transition_to_undeclared_state",),
     ),
     "Dfa.extended starts from an undeclared state": Mutant(
         "src/hfa/classic.py",
-        "        if q not in self._state_set:\n"
-        "            raise UnknownState(f\"unknown state {q!r}\")\n",
-        "",
+        'return self._run(known("state", q, self._state_set), w)',
+        "return self._run(q, w)",
         ("tests/test_classic.py::TestDfa::test_extended_from_unknown_state",),
     ),
     "Nfa.extended starts from an undeclared state": Mutant(
         "src/hfa/classic.py",
-        "        if q not in self._position:\n"
-        "            raise UnknownState(f\"unknown state {q!r}\")\n",
-        "",
+        'start = self._mask([known("state", q, self._position)])', "start = self._mask([q])",
         ("tests/test_classic.py::TestNfa::test_extended_from_unknown_state",),
     ),
     "psi_value weighs a triple to an undeclared state": Mutant(
@@ -91,20 +94,26 @@ MUTANTS = {
     ),
     "psi_value weighs a triple on an unknown symbol": Mutant(
         "src/hfa/hesitant.py",
-        "        if a not in self.alphabet:\n"
-        "            raise UnknownSymbol(f\"unknown symbol {a!r}\")\n"
-        "        return self.psi.get",
-        "        return self.psi.get",
+        'self.psi.get((q, known("symbol", a, self.alphabet), p), ZERO)',
+        "self.psi.get((q, a, p), ZERO)",
         (KERNEL_ERRORS,),
     ),
     "advance checks the symbol before the vector": Mutant(
         "src/hfa/hesitant.py",
         "        entries = self._as_tuple(vector)\n"
-        "        if a not in self.alphabet:\n"
-        "            raise UnknownSymbol(f\"unknown symbol {a!r}\")\n",
-        "        if a not in self.alphabet:\n"
-        "            raise UnknownSymbol(f\"unknown symbol {a!r}\")\n"
-        "        entries = self._as_tuple(vector)\n",
+        "        return dict(zip(self.states, self._step(entries, known(\"symbol\", a, "
+        "self.alphabet))))\n",
+        "        a = known(\"symbol\", a, self.alphabet)\n"
+        "        entries = self._as_tuple(vector)\n"
+        "        return dict(zip(self.states, self._step(entries, a)))\n",
+        (KERNEL_ERRORS,),
+    ),
+    "psi_hat checks p after the run": Mutant(
+        "src/hfa/hesitant.py",
+        "        i = self._index[known(\"state\", p, self._index)]\n"
+        "        return self._run(self._unit(known(\"state\", q, self._index)), w)[i]\n",
+        "        entries = self._run(self._unit(known(\"state\", q, self._index)), w)\n"
+        "        return entries[self._index[known(\"state\", p, self._index)]]\n",
         (KERNEL_ERRORS,),
     ),
     "a duplicate final state merges silently": Mutant(
@@ -141,14 +150,55 @@ MUTANTS = {
     ),
     "equivalent spells its counterexample backwards": Mutant(
         "src/hfa/constructions.py", "tuple(reversed(word))", "tuple(word)",
-        ("tests/test_constructions.py::TestEquivalent::test_counterexample_is_verified_and_earliest",
-         "tests/test_constructions.py::TestEquivalent::test_agrees_with_word_enumeration"),
+        (EARLIEST, f"{EQUIVALENT_TESTS}::test_agrees_with_word_enumeration"),
     ),
     "an exhausted budget exits 2": Mutant(
         "src/hfa/cli.py",
         "        print(f\"closure-budget-exceeded: {exc}\", file=sys.stderr)\n        return 3\n",
         "        print(f\"closure-budget-exceeded: {exc}\", file=sys.stderr)\n        return 2\n",
         ("tests/test_cli.py::TestExitCodes::test_budget_exhaustion_exits_three",),
+    ),
+    "a word after --lambda is an unrecognized argument": Mutant(
+        "src/hfa/cli.py", "(args.word,) = extra", 'parser.error("unrecognized")',
+        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+    ),
+    "a target list is written in name order": Mutant(
+        "src/hfa/documents.py", "ordered = sorted(targets, key=state_index.__getitem__)",
+        "ordered = sorted(targets)",
+        ("tests/test_documents.py::TestRoundTrip::test_targets_in_declared_order",),
+    ),
+    "a load warning goes unprinted": Mutant(
+        "src/hfa/cli.py", '        print(f"{path}: warning: {warning}", file=sys.stderr)\n',
+        "        pass\n",
+        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+    ),
+    "a view keeps the start as every state's parent": Mutant(
+        "src/hfa/classic.py", "self.parents.append((i, a))", "self.parents.append((0, a))",
+        (EARLIEST,),
+    ),
+    "a level's finals are the states its key dominates": Mutant(
+        "src/hfa/constructions.py", "if leq(k, v) for q in qs]", "if leq(v, k) for q in qs]",
+        ("tests/test_constructions.py::TestDecompose",
+         "tests/test_constructions.py::TestLevelAutomaton"),
+    ),
+    "levels sharing a table keep a slot each": Mutant(
+        "src/hfa/constructions.py", "slots.setdefault(id(nfa._successors), len(slots))",
+        "slots.setdefault(id(nfa), len(slots))",
+        ("tests/test_constructions.py::TestDecompose::test_levels_on_one_table_step_once",),
+    ),
+    "crispify routes a full row to the sink": Mutant(
+        "src/hfa/constructions.py", "if len(targets) < len(m.states):",
+        "if len(targets) <= len(m.states):",
+        ("tests/test_constructions.py::TestCrispify",),
+    ),
+    "a product steps its first slot in both views": Mutant(
+        "src/hfa/constructions.py", "vb.step(t[1], s))", "vb.step(t[0], s))",
+        (EQUIVALENT_TESTS, "tests/test_constructions.py::TestIntersect"),
+    ),
+    "a Cnthfa subset always joins its first state": Mutant(
+        "src/hfa/hesitant.py", "enumerate(finals) if s >> i & 1)",
+        "enumerate(finals) if s >> i & 1 or not i)",
+        ("tests/test_hesitant.py",),
     ),
 }
 

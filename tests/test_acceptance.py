@@ -496,21 +496,30 @@ CLI_COMMANDS = [
     ("eval", "m1.json", "a", "--lambda"),
     ("eval", "m1.json"),
     ("equiv", "multi_token.json", "multi_token_tail.json"),
+    ("eval", "m1.json", "--lambda", "a"),
+    ("eval", "partial_dfa.json", "a"),
 ]
 
 
-def test_criterion_10_cli_determinism(capsys, fixtures_dir, tmp_path):
-    def run(argv):
-        code = cli_main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+def run_cli(fixtures_dir: Path, command: tuple[str, ...]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI_COMMANDS entry, its fixture
+    names read in ``fixtures_dir``; a usage error's SystemExit gives its code."""
+    argv = [command[0]] + [
+        str(fixtures_dir / part) if part.endswith(".json") else part for part in command[1:]
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
+
+def test_criterion_10_cli_determinism(capsys, fixtures_dir, tmp_path):
     for command in CLI_COMMANDS:
-        argv = [command[0]] + [
-            str(fixtures_dir / part) if part.endswith(".json") else part
-            for part in command[1:]
-        ]
-        assert run(list(argv)) == run(list(argv)), f"nondeterministic: {command}"
+        first = run_cli(fixtures_dir, command)
+        assert first == run_cli(fixtures_dir, command), f"nondeterministic: {command}"
 
     dirs = (tmp_path / "first", tmp_path / "second")
     for out_dir in dirs:
@@ -541,18 +550,12 @@ def cli_outputs(fixtures_dir: Path) -> list[dict]:
     fixture directory written as <fixtures>."""
     outputs = []
     for command in CLI_COMMANDS:
-        argv = [command[0]] + [
-            str(fixtures_dir / part) if part.endswith(".json") else part
-            for part in command[1:]
-        ]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli_main(argv)
+        code, out, err = run_cli(fixtures_dir, command)
         outputs.append({
             "command": list(command),
             "exit": code,
-            "stdout": out.getvalue().replace(str(fixtures_dir), "<fixtures>"),
-            "stderr": err.getvalue().replace(str(fixtures_dir), "<fixtures>"),
+            "stdout": out.replace(str(fixtures_dir), "<fixtures>"),
+            "stderr": err.replace(str(fixtures_dir), "<fixtures>"),
         })
     return outputs
 

@@ -66,9 +66,10 @@ class TestDfa:
             even_a_dfa().extended("even", ("c",))
 
     def test_extended_from_unknown_state(self):
-        with pytest.raises(UnknownState) as caught:
-            even_a_dfa().extended("nope", ("a",))
-        assert caught.value.args == ("unknown state 'nope'",)
+        for word in (("a",), ("z",)):  # the state is checked before the word
+            with pytest.raises(UnknownState) as caught:
+                even_a_dfa().extended("nope", word)
+            assert caught.value.args == ("unknown state 'nope'",)
 
     def test_alphabet_rules(self):
         with pytest.raises(ValueError):
@@ -96,9 +97,10 @@ class TestNfa:
         assert caught.value.args == ("transition ('q', 'b'): symbol 'b' is not declared",)
 
     def test_extended_from_unknown_state(self):
-        with pytest.raises(UnknownState) as caught:
-            ends_in_ab_nfa().extended("nope", ("a",))
-        assert caught.value.args == ("unknown state 'nope'",)
+        for word in (("a",), ("z",)):  # the state is checked before the word
+            with pytest.raises(UnknownState) as caught:
+                ends_in_ab_nfa().extended("nope", word)
+            assert caught.value.args == ("unknown state 'nope'",)
 
     def test_successors_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):

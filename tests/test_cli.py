@@ -334,6 +334,18 @@ class TestExitCodes:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, extra", [
+        (("eval", "m1.json", "--bogus"), "--bogus"),
+        (("eval", "m1.json", "--lambda", "a", "b"), "a b"),
+        (("eval", "m1.json", "a", "b"), "b"),
+        (("range", "m1.json", "a"), "a"),
+    ])
+    def test_unrecognized_arguments_exit_two(self, capsys, fixtures_dir, argv, extra):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], fx(fixtures_dir, argv[1]), *argv[2:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"hfa: error: unrecognized arguments: {extra}\n")
+
 
 class TestInjectiveStateNames:
     """State names containing the separators of constructed names."""

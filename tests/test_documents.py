@@ -68,6 +68,15 @@ class TestRoundTrip:
                 {("q0", "a"): {"q0", "q1"}, ("q1", "b"): {"q1"}}, "q0", ["q1"])
         assert roundtrip(n).accepts(("a", "b"))
 
+    def test_targets_in_declared_order(self):
+        # States declared out of name order: a target list is written in
+        # declaration order, which the parser reads back without a warning.
+        n = Nfa(["q1", "q0"], ["a"], {("q1", "a"): {"q0", "q1"}}, "q1", ["q0"])
+        assert json.loads(serialize_automaton(n))["transitions"] == [
+            {"from": "q1", "symbol": "a", "to": ["q1", "q0"]}
+        ]
+        roundtrip(n)
+
     def test_decomposition(self, m1):
         d = roundtrip(decompose(m1))
         assert isinstance(d, LevelDecomposition)

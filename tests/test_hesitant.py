@@ -118,6 +118,9 @@ class TestEvaluationKernel:
             (lambda: m1.psi_hat("q0", ("z",), "q1"), UnknownSymbol, "unknown symbol 'z'"),
             (lambda: m1.psi_hat("q0", (), "nope"), UnknownState, "unknown state 'nope'"),
             (lambda: m1.psi_hat("nope", ("a",), "q0"), UnknownState, "unknown state 'nope'"),
+            # psi_hat names an unknown p before it reads q or the word.
+            (lambda: m1.psi_hat("nope", ("z",), "nope2"), UnknownState, "unknown state 'nope2'"),
+            (lambda: m1.psi_hat("q0", ("z",), "nope"), UnknownState, "unknown state 'nope'"),
             (lambda: m1.initial_vector("nope"), UnknownState, "unknown state 'nope'"),
             (lambda: m1.advance({"q0": ONE}, "a"), UnknownState,
              "the vector has no entry for state 'q1'"),
@@ -129,6 +132,8 @@ class TestEvaluationKernel:
             (lambda: m1.psi_value("q0", "a", "nope"), UnknownState,
              "unknown state in ('q0', 'a', 'nope')"),
             (lambda: m1.psi_value("q0", "z", "q1"), UnknownSymbol, "unknown symbol 'z'"),
+            (lambda: m1.psi_value("nope", "z", "q1"), UnknownState,
+             "unknown state in ('nope', 'z', 'q1')"),
         ]
         for call, error, message in cases:
             with pytest.raises(error) as caught:
