@@ -42,7 +42,7 @@ DEFAULT_MAX_VECTORS = 100_000
 
 def alphabet_errors(symbols: Sequence[str]) -> Iterator[HfaError]:
     """Each break of the alphabet rules: it is non-empty, and its symbols are
-    distinct non-empty strings free of whitespace and WORD_SEPARATOR."""
+    distinct non-empty strings free of whitespace, WORD_SEPARATOR and lone surrogates."""
     if not symbols:
         yield InvalidAutomaton("alphabet must be non-empty")
     seen: set[str] = set()
@@ -50,6 +50,8 @@ def alphabet_errors(symbols: Sequence[str]) -> Iterator[HfaError]:
         if not isinstance(s, str) or not s or any(c.isspace() for c in s) or WORD_SEPARATOR in s:
             yield InvalidAutomaton(f"alphabet symbol {s!r} must be non-empty and free of "
                                    f"whitespace and {WORD_SEPARATOR!r}")
+        elif not s.isascii() and any("\ud800" <= c <= "\udfff" for c in s):
+            yield InvalidAutomaton(f"alphabet symbol {s!r} holds a lone surrogate")
         elif s in seen:
             yield InvalidAutomaton(f"duplicate alphabet symbol {s!r}")
         else:
@@ -58,13 +60,15 @@ def alphabet_errors(symbols: Sequence[str]) -> Iterator[HfaError]:
 
 def state_errors(names: Sequence[str]) -> Iterator[HfaError]:
     """Each break of the state list rules: it is non-empty, and its names are
-    distinct non-empty strings."""
+    distinct non-empty strings free of lone surrogates."""
     if not names:
         yield InvalidAutomaton("state list must be non-empty")
     seen: set[str] = set()
     for n in names:
         if not isinstance(n, str) or not n:
             yield InvalidAutomaton("state names must be non-empty")
+        elif not n.isascii() and any("\ud800" <= c <= "\udfff" for c in n):
+            yield InvalidAutomaton(f"state name {n!r} holds a lone surrogate")
         elif n in seen:
             yield InvalidAutomaton(f"duplicate state name {n!r}")
         else:
@@ -130,13 +134,15 @@ def checked_header(
 
 
 class _View:
-    """A deterministic machine over ``alphabet``, built on demand from a
-    start state, a step, a value per state and, to name states, ``name``.
-    States are numbered in the order ``step`` first returns them (the start
-    is 0); each state's successors and value are computed once, and the
-    step that first reached a state is kept as its parent.  The view of
-    every kind (_Machine._view) and every product are _Views; explore, the
-    one BFS loop, bounds each one."""
+    """A deterministic machine over ``alphabet``, built on demand from a start
+    state, a step, a value per state and, to name states, ``name``.  States are
+    numbered in the order ``step`` first returns them (the start is 0); each
+    state's successors and value are computed once, and the step that first
+    reached a state is kept as its parent.  Its transitions are one successor
+    list per symbol, indexed by state number, that gains a None slot (not yet
+    stepped) for each state ``step`` numbers.  The view of every kind
+    (_Machine._view) and every product are _Views; explore, the one BFS loop,
+    bounds each one."""
 
     def __init__(self, alphabet: Sequence[str], start: Hashable,
                  step: Callable[[Hashable, str], Hashable], value: Callable,
@@ -145,19 +151,22 @@ class _View:
         self.states = [start]
         self.values = [value(start)]
         self.parents: list[tuple[int, str] | None] = [None]
-        self.delta: dict[tuple[int, str], int] = {}  # (state, symbol) -> state
+        self.successors: dict[str, list[int | None]] = {a: [None] for a in alphabet}
         self._index = {start: 0}
         self._step, self._value, self._name = step, value, name
 
     def step(self, i: int, a: str) -> int:
-        j = self.delta.get((i, a))
+        row = self.successors[a]
+        j = row[i]
         if j is None:
             target = self._step(self.states[i], a)
-            j = self.delta[(i, a)] = self._index.setdefault(target, len(self.states))
+            j = row[i] = self._index.setdefault(target, len(self.states))
             if j == len(self.states):
                 self.states.append(target)
                 self.values.append(self._value(target))
                 self.parents.append((i, a))
+                for successors in self.successors.values():
+                    successors.append(None)
         return j
 
     def name(self, i: int) -> str:
@@ -190,7 +199,8 @@ class _View:
         self.explore()
         name = _numbered if numbered else self._name
         names = [name(i, q) for i, q in enumerate(self.states)]
-        return names, {(names[i], a): names[j] for (i, a), j in self.delta.items()}
+        return names, {(q, a): names[self.successors[a][i]]
+                       for i, q in enumerate(names) for a in self.alphabet}
 
 
 def _numbered(i: int, state: Hashable) -> str:

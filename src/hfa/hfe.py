@@ -122,7 +122,9 @@ class Thfe:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.degrees)
+        # Reduced integer pairs are equal iff the Fractions are, and skip the modular
+        # inverse of Fraction.__hash__.  No cache: most Thfes the kernel makes are never hashed.
+        return hash(tuple([d.as_integer_ratio() for d in self.degrees]))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.degrees)

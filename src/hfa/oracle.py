@@ -6,6 +6,12 @@ recursion is evaluated literally with no memoization, and language
 comparisons enumerate words exhaustively.  These are the ground truth the
 closed-form element operations, the vector fold and the product search are
 certified against, so they must not share their algorithms.
+
+The one memoized reference, reference_fold, computes each subterm of the
+same recursion once, one prefix at a time, so that words of any length can
+be checked.  It shares with the code only the definition's left-to-right
+order: no closed form, no skip of {0} entries, no incoming table, no degree
+codec and no view.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import EquivalenceVerdict, _require_same_alphabet
-from .errors import WordTooLong
+from .errors import UnknownState, WordTooLong
 from .hfe import ONE, ZERO, Thfe, _trusted
 from .hesitant import Nthfa
 
@@ -28,6 +34,7 @@ __all__ = [
     "iter_words",
     "reference_psi_hat",
     "reference_eval",
+    "reference_fold",
     "empirical_range",
     "languages_agree_up_to",
 ]
@@ -113,6 +120,27 @@ def reference_eval(
         )
         for q in m.states
     )
+
+
+def reference_fold(m: Nthfa, w: Sequence[str], q: str | None = None) -> dict[str, Thfe]:
+    """ψ̂(q, w, r) for every state r, from the initial state by default.
+
+    The recursion of reference_psi_hat, ψ̂(q, va, r) = ⊔_p ψ̂(q, v, p) ⊗
+    ψ(p, a, r), with the join over p in state order, computed bottom up:
+    ψ̂(q, w[:n], r) once per prefix length n and state r, with pairwise_inf
+    and pairwise_sup_n.  It costs O(|w|·|Q|²) pairwise operations, so it
+    takes no length bound.
+    """
+    q = m.initial if q is None else q
+    if q not in m.states:
+        raise UnknownState(f"unknown state {q!r}")
+    row = {r: ONE if r == q else ZERO for r in m.states}
+    for a in w:
+        row = {
+            r: pairwise_sup_n(pairwise_inf(row[p], m.psi_value(p, a, r)) for p in m.states)
+            for r in m.states
+        }
+    return row
 
 
 def empirical_range(m: Nthfa, max_length: int) -> frozenset[Thfe]:

@@ -195,6 +195,26 @@ MUTANTS = {
         "src/hfa/constructions.py", "vb.step(t[1], s))", "vb.step(t[0], s))",
         (EQUIVALENT_TESTS, "tests/test_constructions.py::TestIntersect"),
     ),
+    "a THFE hash mixes in each degree's identity": Mutant(
+        "src/hfa/hfe.py", "hash(tuple([d.as_integer_ratio() for d in self.degrees]))",
+        "hash(tuple([(d.as_integer_ratio(), id(d)) for d in self.degrees]))",
+        ("tests/test_hfe.py::TestThfe"
+         "::test_equal_exactly_when_degrees_are_and_equal_ones_hash_equal",
+         "tests/test_constructions.py::TestReachableVectors"
+         "::test_a_vector_is_numbered_once_whatever_objects_hold_its_degrees"),
+    ),
+    "a view numbers a state without growing its successor lists": Mutant(
+        "src/hfa/classic.py",
+        "                for successors in self.successors.values():\n"
+        "                    successors.append(None)\n",
+        "                pass\n",
+        (EQUIVALENT_TESTS, "tests/test_classic.py::TestSubsetConstruction"),
+    ),
+    "a view names its transitions from another symbol's list": Mutant(
+        "src/hfa/classic.py", "names[self.successors[a][i]]",
+        "names[self.successors[self.alphabet[0]][i]]",
+        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+    ),
     "a Cnthfa subset always joins its first state": Mutant(
         "src/hfa/hesitant.py", "enumerate(finals) if s >> i & 1)",
         "enumerate(finals) if s >> i & 1 or not i)",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import hfa.classic
 from hfa import Cnthfa, Dfa, Nfa, UnknownState, UnknownSymbol, determinize_cnthfa, subset_name
-from hfa.errors import ClosureBudgetExceeded, IncompleteTransition
+from hfa.errors import ClosureBudgetExceeded, IncompleteTransition, InvalidAutomaton
 
 from support import as_nfa, random_cnthfa, successors
 
@@ -78,6 +78,16 @@ class TestDfa:
             Dfa(["q"], ["a", "a"], {("q", "a"): "q"}, "q", [])
         with pytest.raises(ValueError):
             Dfa(["q"], ["x.y"], {("q", "x.y"): "q"}, "q", [])
+
+    @pytest.mark.parametrize("name", ["\ud800", "a\udfff", "\udc80λ"])
+    def test_lone_surrogates_rejected(self, name):
+        """UTF-8 cannot encode a code point in U+D800-U+DFFF, so no output
+        could name such a state or symbol."""
+        with pytest.raises(InvalidAutomaton, match="lone surrogate"):
+            Dfa([name], ["a"], {(name, "a"): name}, name, [])
+        with pytest.raises(InvalidAutomaton, match="lone surrogate"):
+            Nfa(["q"], [name], {}, "q", [])
+        assert Nfa(["😀", "λ"], ["é"], {("😀", "é"): ["λ"]}, "😀", ["λ"]).accepts(["é"])
 
 
 class TestNfa:

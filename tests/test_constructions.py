@@ -113,6 +113,32 @@ class TestReachableVectors:
             {ZERO, Thfe(["1/10"]), Thfe(["1/2", "3/5", "9/10"])}
         )
 
+    def test_a_vector_is_numbered_once_whatever_objects_hold_its_degrees(self):
+        """A machine built twice, the second time with a new Fraction for
+        each degree (as a machine read from integers is): each view numbers
+        equal vectors once, and the two agree on every construction."""
+        rng = random.Random(26)
+        for _ in range(30):
+            m = random_nthfa(rng, max_states=3, pool=farey_pool(6))
+            twin = with_new_fractions(m)
+            assert compute_range(twin) == compute_range(m)
+            sizes = [len(nfa.states) for _, nfa in decompose(m).levels]
+            assert [len(nfa.states) for _, nfa in decompose(twin).levels] == sizes
+            view = twin._view()
+            view.explore()
+            assert len({tuple(x.degrees for x in v) for v in view.states}) == len(view.states)
+            assert len(view.states) == sizes[0]
+            assert equivalent(m, twin).equivalent
+
+
+def with_new_fractions(m: Nthfa) -> Nthfa:
+    """``m`` with a new Fraction object for each degree of each weight and
+    final value."""
+    def new(x: Thfe) -> list[Fraction]:
+        return [Fraction(d.numerator, d.denominator) for d in x]
+    return Nthfa(m.states, m.alphabet, {key: new(w) for key, w in m.psi.items()}, m.initial,
+                 {q: new(v) for q, v in m.final_map.items()})
+
 
 class TestLevelAutomaton:
     def test_membership_matches_value_dominance(self):

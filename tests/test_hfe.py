@@ -30,6 +30,18 @@ degrees = st.fractions(min_value=0, max_value=1, max_denominator=12)
 thfes = st.builds(Thfe, st.lists(degrees, min_size=1, max_size=4))
 
 
+def spellings(d: Fraction) -> st.SearchStrategy:
+    """The spellings of ``d`` that Thfe takes: reduced and unreduced "p/q"
+    text, a decimal where one is exact, and a new Fraction object each draw."""
+    texts = [f"{d.numerator}/{d.denominator}", f"{3 * d.numerator}/{3 * d.denominator}"]
+    for places in range(19):
+        if (d * 10**places).denominator == 1:
+            whole, part = divmod(int(d * 10**places), 10**places)
+            texts.append(f"{whole}.{part:0{places}d}" if places else str(whole))
+            break
+    return st.sampled_from(texts) | st.builds(lambda: Fraction(d.numerator, d.denominator))
+
+
 class TestParseDegree:
     @pytest.mark.parametrize(
         "text, expected",
@@ -107,6 +119,24 @@ class TestThfe:
         assert Thfe(["1/2", "1"]) == Thfe(["1", "2/4"])
         assert hash(Thfe(["1/2"])) == hash(Thfe(["0.5"]))
         assert Thfe(["1/2"]) != Thfe(["1/3"])
+        x, y = Thfe([F(1, 2), F(3, 4)]), Thfe([F(3, 4), F(1, 2)])
+        assert x.degrees[0] is not y.degrees[0]
+        assert len({x, y, Thfe(["0.5", "6/8"]), Thfe(["2/4", "0.75"])}) == 1
+
+    @settings(max_examples=100)
+    @given(st.lists(degrees, min_size=1, max_size=4), st.lists(degrees, min_size=1, max_size=4),
+           st.booleans(), st.data())
+    def test_equal_exactly_when_degrees_are_and_equal_ones_hash_equal(self, xs, ys, same, data):
+        """Whatever spelling or Fraction object holds each degree: "1/2",
+        "2/4", "0.5" and each new Fraction(1, 2) make one THFE."""
+        if same:
+            ys = data.draw(st.permutations(xs))
+        x = Thfe([data.draw(spellings(d)) for d in xs])
+        y = Thfe([data.draw(spellings(d)) for d in ys])
+        assert (x == y) == (x.degrees == y.degrees) == (set(xs) == set(ys))
+        if x == y:
+            assert hash(x) == hash(y)
+            assert len({x, y}) == 1
 
     def test_immutable(self):
         x = Thfe(["1/2"])

@@ -15,8 +15,10 @@ from hfa import Cdthfa, Cnthfa, Dfa, HfaError, InvalidAutomaton, Nfa, Nthfa, val
 KINDS = {"dfa": Dfa, "nfa": Nfa, "nthfa": Nthfa, "cnthfa": Cnthfa, "cdthfa": Cdthfa}
 
 # Names from characters the rules care about: whitespace, the word separator,
-# the escapes of constructed names, and non-ASCII; the empty name included.
-names = st.text(st.sampled_from(["a", "b", " ", "\t", ".", "\\", ",", "é", "λ"]), max_size=2)
+# the escapes of constructed names, non-ASCII and a lone surrogate; the empty
+# name included.
+names = st.text(st.sampled_from(["a", "b", " ", "\t", ".", "\\", ",", "é", "λ", "\udc80"]),
+                max_size=2)
 
 
 @st.composite
