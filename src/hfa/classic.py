@@ -193,12 +193,11 @@ class _View:
                     raise ClosureBudgetExceeded(f"more than {budget} reachable states")
         return None
 
-    def named(self, numbered: bool = False) -> tuple[list[str], dict[tuple[str, str], str]]:
-        """Explores the view, then returns its state names in number order and
-        the transitions between them: its own names or, if ``numbered``, v0, v1, ..."""
+    def named(self) -> tuple[list[str], dict[tuple[str, str], str]]:
+        """Explores the view, then returns the names its name function gives
+        its states, in number order, and the transitions between them."""
         self.explore()
-        name = _numbered if numbered else self._name
-        names = [name(i, q) for i, q in enumerate(self.states)]
+        names = [self._name(i, q) for i, q in enumerate(self.states)]
         return names, {(q, a): names[self.successors[a][i]]
                        for i, q in enumerate(names) for a in self.alphabet}
 

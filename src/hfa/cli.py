@@ -67,15 +67,20 @@ LEVELS = ("decomposition",), "a decomposition"
 
 
 def _load(path: str, accepted: tuple[tuple[str, ...], str]):
-    """The document at ``path``, once its kind is one of ``accepted``."""
-    result = parse_document(_read(path))
-    for warning in result.warnings:
-        print(f"{path}: warning: {warning}", file=sys.stderr)
+    """The document at ``path``, once its kind is one of ``accepted``; each
+    diagnostic of a DocumentError on the way starts with the path."""
     kinds, expected = accepted
-    kind = kind_name(result.automaton)
-    if kind not in kinds:
-        message = f"{path}: expected {expected}, got kind {kind!r}"
-        raise DocumentError([Diagnostic("InvalidDocument", message)])
+    try:
+        result = parse_document(_read(path))
+        for warning in result.warnings:
+            print(f"{path}: warning: {warning}", file=sys.stderr)
+        kind = kind_name(result.automaton)
+        if kind not in kinds:
+            message = f"expected {expected}, got kind {kind!r}"
+            raise DocumentError([Diagnostic("InvalidDocument", message)])
+    except DocumentError as exc:
+        raise DocumentError([d._replace(message=f"{path}: {d.message}")
+                             for d in exc.diagnostics]) from None
     return result.automaton
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .classic import Nfa, _Machine, _product_name, _View, raise_first
+from .classic import Nfa, _Machine, _numbered, _product_name, _View, raise_first
 from .errors import AlphabetMismatch, HfaError, InvalidAutomaton
 from .hesitant import Cdthfa, Cnthfa, Nthfa
 from .hfe import ONE, ZERO, Thfe, inf_combination, leq, sup_combination, sup_combination_n
@@ -155,11 +155,11 @@ def _product(a, b, combine: Callable) -> _View:
     )
 
 
-def _materialize(view: _View, numbered: bool = False) -> Cdthfa:
-    """All reachable states of a view as a Cdthfa, named by the view or, if
-    ``numbered``, v0, v1, ... in search order.  For an Nthfa that is its
-    vector automaton, so every word evaluates exactly as under the Nthfa."""
-    names, delta = view.named(numbered)
+def _materialize(view: _View) -> Cdthfa:
+    """All reachable states of a view as a Cdthfa, under the view's names.
+    For an Nthfa that is its vector automaton, so every word evaluates
+    exactly as under the Nthfa."""
+    names, delta = view.named()
     return Cdthfa(names, view.alphabet, delta, names[0], dict(zip(names, view.values)))
 
 
@@ -190,7 +190,7 @@ def decompose(m: Nthfa | Cnthfa | Cdthfa | LevelDecomposition) -> LevelDecomposi
     machine's view, states v0, v1, ... in search order, final where their
     value dominates the key (a word's value is the fold over its vectors; it
     may dominate the key although no path's weight does)."""
-    d = _materialize(m._view(), numbered=True)
+    d = _materialize(_View(m.alphabet, m._start, m._step, m._value, _numbered))
     keys = sorted(set(d.final_map.values()), key=lambda t: t.degrees)
     return LevelDecomposition(m.alphabet, _level_nfas(d, keys))
 

@@ -22,7 +22,8 @@ reports every break that a rule's checker yields, and puts the position in
 the document in front ("transition 3: ", "level 1: ").  Each transition row
 is read once, every check of it in one pass, so the diagnostics of the rows
 come in row order.  Text that is not JSON, nested too deep, or holding an
-integer too long to convert is a SyntaxError.
+integer too long to convert is a SyntaxError; an object that repeats a key
+is an InvalidDocument error, since which value counts is up to the reader.
 
 Parsing reports problems as Diagnostic values.  parse_document raises
 DocumentError when any error-level diagnostic occurs and otherwise returns
@@ -147,9 +148,17 @@ def validate_text(text: str) -> list[Diagnostic]:
 
 
 def _parse(text: str) -> tuple[Automaton | None, _Report]:
-    report = _Report()
+    report, repeats = _Report(), _Report()
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            for key in (k for k in obj if [p[0] for p in pairs].count(k) > 1):
+                repeats.error("InvalidDocument", f"key {key!r} appears more than once in one "
+                              "object")
+        return obj
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         report.error("SyntaxError", exc.msg, line=exc.lineno)
         return None, report
@@ -159,20 +168,18 @@ def _parse(text: str) -> tuple[Automaton | None, _Report]:
     except ValueError:  # an integer with more digits than int() converts
         report.error("SyntaxError", "a number has too many digits to parse")
         return None, report
+    automaton = None
     if not isinstance(raw, dict):
         report.error("InvalidDocument", "top-level value must be an object")
-        return None, report
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        report.error(
-            "InvalidDocument",
-            f"field 'kind' must be one of {', '.join(KINDS)}, got {kind!r}",
-        )
-        return None, report
-    if kind == "decomposition":
+    elif (kind := raw.get("kind")) not in KINDS:
+        report.error("InvalidDocument",
+                     f"field 'kind' must be one of {', '.join(KINDS)}, got {kind!r}")
+    elif kind == "decomposition":
         automaton = _parse_decomposition(raw, report)
     else:
         automaton = _parse_automaton(_KINDS[kind], raw, report)
+    # The repeated keys come first, and every other field is still checked.
+    report.errors[:0] = repeats.errors
     return (None, report) if report.errors else (automaton, report)
 
 

@@ -7,12 +7,13 @@ a symbol sets each entry p to the join over r of entry r combined (inf) with
 psi(r, a, p), and the value joins each entry combined with its final value.
 Since distributivity fails, that is not the join over paths of their
 weights (README, "Known non-laws"); the oracle module computes the same
-recursion literally.  One step visits each transition labelled with the
-symbol once, through per-symbol lists of incoming transitions built at
-construction: one inf-combination per transition whose source entry is not
-{0} and one n-ary join per state.  Each kind is a classic._Machine and
-declares only the machine it runs; eval and the view derive from it.  The
-fold and every Nthfa lookup check the names they get with classic.known.
+recursion literally.  The kernel is one meet-join over a flat row of
+(state index, weight) pairs built at construction: a step applies it to
+each state's row of incoming transitions on the symbol, and the value is
+one more step, into the row of the non-{0} final values.  Each kind is a
+classic._Machine and declares only the machine it runs; eval and the view
+derive from it.  The fold and every Nthfa lookup check the names they get
+with classic.known.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def _total_final_map(
     return {q: _as_thfe(final_map[q]) if q in final_map else ZERO for q in states}
 
 
+def _meet_join(vector: _Vector, row: tuple) -> Thfe:
+    """The evaluation kernel: the join of vector[i] (x) w over the flat
+    (i, w) pairs of ``row``.  Entries that are the {0} constant are skipped,
+    since their terms are {0} and {0} never changes a join."""
+    pairs = iter(row)
+    return sup_combination_n([
+        inf_combination(vector[i], w) for i, w in zip(pairs, pairs) if vector[i] is not ZERO
+    ])
+
+
 class Nthfa(_Machine):
     """Automaton with THFE-valued transitions and a THFE-valued final map.
 
@@ -52,7 +63,7 @@ class Nthfa(_Machine):
     dropped on construction, and lookups of absent triples return {0}.  The
     final map is total; states missing from the given mapping default to {0}.
     The transition map is read in one loop at construction, which checks each
-    triple, drops {0} weights and fills the kernel's per-symbol incoming tables.
+    triple, drops {0} weights and fills the kernel's per-symbol incoming rows.
     """
 
     def __init__(
@@ -81,6 +92,9 @@ class Nthfa(_Machine):
                 incoming[a][index[p]] += (index[q], value)
         self._incoming = {a: tuple(map(tuple, rows)) for a, rows in incoming.items()}
         self.final_map = _total_final_map(self.states, final_map)
+        # The final values as one more row; a {0} final would add only a {0} term.
+        self._finals = tuple(x for i, f in enumerate(self.final_map.values()) if f != ZERO
+                             for x in (i, f))
         self.metadata = dict(metadata) if metadata else {}
         self._start = self._unit(self.initial)
 
@@ -89,28 +103,12 @@ class Nthfa(_Machine):
         return tuple(ONE if p == q else ZERO for p in self.states)
 
     def _step(self, vector: _Vector, a: str) -> _Vector:
-        """The evaluation kernel: the vector after reading ``a``.  Entry p
-        joins vector[q] (x) psi(q, a, p) over the a-transitions into p;
-        entries that are the {0} constant are skipped, since their terms are
-        {0} and {0} never changes a join."""
-        out = []
-        for row in self._incoming[a]:
-            pairs = iter(row)
-            out.append(sup_combination_n([
-                inf_combination(vector[q], w)
-                for q, w in zip(pairs, pairs)
-                if vector[q] is not ZERO
-            ]))
-        return tuple(out)
+        """The vector after reading ``a``: each entry meet-joins its incoming a-row."""
+        return tuple([_meet_join(vector, row) for row in self._incoming[a]])
 
     def _value(self, vector: _Vector) -> Thfe:
-        """Join of every entry combined with its state's final value (the
-        final map is built in state order)."""
-        return sup_combination_n([
-            inf_combination(v, f)
-            for v, f in zip(vector, self.final_map.values())
-            if v is not ZERO
-        ])
+        """The step into the final row."""
+        return _meet_join(vector, self._finals)
 
     def _as_tuple(self, vector: StateValueVector) -> _Vector:
         try:

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL_ERRORS = "tests/test_hesitant.py::TestEvaluationKernel::test_errors_and_messages"
 EQUIVALENT_TESTS = "tests/test_constructions.py::TestEquivalent"
 EARLIEST = f"{EQUIVALENT_TESTS}::test_counterexample_is_verified_and_earliest"
+GOLDEN = "tests/test_acceptance.py::test_cli_output_matches_golden"
+DECLARED_ORDER = "tests/test_documents.py::TestRoundTrip::test_rows_and_finals_in_declared_order"
 
 
 class Mutant(NamedTuple):
@@ -130,11 +132,11 @@ MUTANTS = {
     ),
     "a printed word runs multi-character symbols together": Mutant(
         "src/hfa/cli.py", "    return WORD_SEPARATOR.join(word)", '    return "".join(word)',
-        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+        (GOLDEN,),
     ),
     "--lambda takes a word too": Mutant(
         "src/hfa/cli.py", 'if arg not in (None, ""):', "if False:",
-        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+        (GOLDEN,),
     ),
     "decompose orders its keys by reversed degree tuples": Mutant(
         "src/hfa/constructions.py", "key=lambda t: t.degrees)", "key=lambda t: t.degrees[::-1])",
@@ -160,7 +162,7 @@ MUTANTS = {
     ),
     "a word after --lambda is an unrecognized argument": Mutant(
         "src/hfa/cli.py", "(args.word,) = extra", 'parser.error("unrecognized")',
-        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+        (GOLDEN,),
     ),
     "a target list is written in name order": Mutant(
         "src/hfa/documents.py", "ordered = sorted(targets, key=state_index.__getitem__)",
@@ -170,7 +172,7 @@ MUTANTS = {
     "a load warning goes unprinted": Mutant(
         "src/hfa/cli.py", '        print(f"{path}: warning: {warning}", file=sys.stderr)\n',
         "        pass\n",
-        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+        (GOLDEN,),
     ),
     "a view keeps the start as every state's parent": Mutant(
         "src/hfa/classic.py", "self.parents.append((i, a))", "self.parents.append((0, a))",
@@ -213,7 +215,57 @@ MUTANTS = {
     "a view names its transitions from another symbol's list": Mutant(
         "src/hfa/classic.py", "names[self.successors[a][i]]",
         "names[self.successors[self.alphabet[0]][i]]",
-        ("tests/test_acceptance.py::test_cli_output_matches_golden",),
+        (GOLDEN,),
+    ),
+    "the final row pairs each final with the next state's index": Mutant(
+        "src/hfa/hesitant.py", "for x in (i, f))", "for x in ((i + 1) % len(self.states), f))",
+        ("tests/test_hesitant.py::TestEvaluationKernel",),
+    ),
+    "decompose names its view with the machine's own name function": Mutant(
+        "src/hfa/constructions.py", "m._step, m._value, _numbered))",
+        "m._step, m._value, m._name))",
+        ("tests/test_constructions.py::TestCrispConstructionsAgainstOracle"
+         "::test_range_and_decompose_match_the_embedding",),
+    ),
+    "_load leaves the path out": Mutant(
+        "src/hfa/cli.py", 'message=f"{path}: {d.message}"', "message=d.message",
+        ("tests/test_cli.py::TestUnreadableDocuments::test_an_operand_that_is_not_utf8_is_named",),
+    ),
+    "the object hook ignores a repeated key": Mutant(
+        "src/hfa/documents.py", "        if len(obj) < len(pairs):\n", "        if False:\n",
+        ("tests/test_documents.py::TestParseErrors"
+         "::test_each_repeated_key_is_an_error_and_the_rest_is_checked",),
+    ),
+    "weighted rows are written in name order": Mutant(
+        "src/hfa/documents.py",
+        "key=lambda t: (state_index[t[0]], symbol_index[t[1]], state_index[t[2]])",
+        "key=lambda t: (t[0], t[1], t[2])",
+        (GOLDEN,),
+    ),
+    "weighted rows are written in target name order": Mutant(
+        "src/hfa/documents.py", "symbol_index[t[1]], state_index[t[2]])",
+        "symbol_index[t[1]], t[2])",
+        (GOLDEN,),
+    ),
+    "crisp rows are written in state name order": Mutant(
+        "src/hfa/documents.py", "    for q in x.states:\n        for a in x.alphabet:\n",
+        "    for q in sorted(x.states):\n        for a in x.alphabet:\n",
+        (GOLDEN,),
+    ),
+    "crisp rows are written in symbol name order": Mutant(
+        "src/hfa/documents.py", "    for q in x.states:\n        for a in x.alphabet:\n",
+        "    for q in x.states:\n        for a in sorted(x.alphabet):\n",
+        (DECLARED_ORDER,),
+    ),
+    "accepting states are written in name order": Mutant(
+        "src/hfa/documents.py", 'doc["final"] = [q for q in x.states if q in x.finals]',
+        'doc["final"] = sorted(x.finals)',
+        (DECLARED_ORDER,),
+    ),
+    "final entries are written in name order": Mutant(
+        "src/hfa/documents.py", "_thfe_json(x.final_map[q]) for q in x.states if",
+        "_thfe_json(x.final_map[q]) for q in sorted(x.states) if",
+        (GOLDEN,),
     ),
     "a Cnthfa subset always joins its first state": Mutant(
         "src/hfa/hesitant.py", "enumerate(finals) if s >> i & 1)",
@@ -228,9 +280,14 @@ EQUIVALENT = {
         "src/hfa/hfe.py", "ys[: bisect_right(ys, xs[-1])]", "ys[: bisect_left(ys, xs[-1])]",
         "the cut degree max xs is in xs, so the merge keeps it either way",
     ),
-    "!= ZERO in Nthfa._step": (
-        "src/hfa/hesitant.py", "if vector[q] is not ZERO\n", "if vector[q] != ZERO\n",
+    "!= ZERO in the meet-join": (
+        "src/hfa/hesitant.py", "if vector[i] is not ZERO\n", "if vector[i] != ZERO\n",
         "a {0} entry that is not the ZERO object adds only {0} terms, which change no join",
+    ),
+    "the final row keeps the {0} finals": (
+        "src/hfa/hesitant.py", "enumerate(self.final_map.values()) if f != ZERO",
+        "enumerate(self.final_map.values())",
+        "x (x) {0} = {0}, and {0} is the identity of the join",
     ),
 }
 

@@ -221,6 +221,26 @@ def perturb_nthfa(rng: random.Random, m: Nthfa) -> Nthfa:
     return Nthfa(m.states, m.alphabet, psi, m.initial, final)
 
 
+def random_relabeling(rng: random.Random, pool: Sequence[Fraction]) -> dict[Fraction, Fraction]:
+    """A strictly increasing map of ``pool`` (which holds 0 and 1) into
+    Farey(30) that fixes 0 and 1: a change of degrees that keeps their order."""
+    inner = sorted(d for d in pool if 0 < d < 1)
+    image = sorted(rng.sample([d for d in farey_pool(30) if 0 < d < 1], len(inner)))
+    return {Fraction(0): Fraction(0), Fraction(1): Fraction(1), **dict(zip(inner, image))}
+
+
+def relabel(f: dict[Fraction, Fraction], x: Thfe) -> Thfe:
+    """``x`` with each degree d replaced by f(d)."""
+    return Thfe(f[d] for d in x)
+
+
+def relabel_nthfa(f: dict[Fraction, Fraction], m: Nthfa) -> Nthfa:
+    """``m`` with every weight and final value relabeled by ``f``."""
+    psi = {t: relabel(f, v) for t, v in m.psi.items()}
+    final = {q: relabel(f, v) for q, v in m.final_map.items()}
+    return Nthfa(m.states, m.alphabet, psi, m.initial, final)
+
+
 def h_union_pointwise(
     f1_eval: Callable[[Sequence[str]], Thfe],
     f2_eval: Callable[[Sequence[str]], Thfe],

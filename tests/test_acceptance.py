@@ -498,6 +498,9 @@ CLI_COMMANDS = [
     ("equiv", "multi_token.json", "multi_token_tail.json"),
     ("eval", "m1.json", "--lambda", "a"),
     ("eval", "partial_dfa.json", "a"),
+    ("equiv", "m1.json", "bad_syntax.json"),
+    ("union", "bad_number.json", "m1.json"),
+    ("validate", "repeated_key.json"),
 ]
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,8 +15,11 @@ from hypothesis import strategies as st
 
 import hfa.classic
 import hfa.hesitant
-from hfa import Thfe, parse_document, serialize_automaton
+from hfa import Thfe, format_degree, parse_degree, parse_document, serialize_automaton
 from hfa.cli import format_word, main
+from hfa.oracle import iter_words
+
+from support import farey_pool, random_nthfa, random_relabeling, relabel
 
 
 def run(capsys, *argv):
@@ -403,20 +407,54 @@ class TestUnreadableDocuments:
         path.write_bytes(b'{"kind": "nthfa", "states": ["\xe9"]}')
         code, out, err = run(capsys, "eval", str(path), "a")
         assert (code, out) == (2, "")
-        assert err == "error: SyntaxError (line 1): not valid UTF-8 (invalid continuation byte)\n"
+        assert err == (f"error: SyntaxError (line 1): {path}: not valid UTF-8 (invalid "
+                       "continuation byte)\n")
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (2, "")
         assert err == f"{path}: error: SyntaxError (line 1): not valid UTF-8 (invalid continuation byte)\n"
+
+    def test_an_operand_that_is_not_utf8_is_named(self, capsys, fixtures_dir, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "nthfa", "states": ["\xe9"]}')
+        code, out, err = run(capsys, "equiv", fx(fixtures_dir, "m1.json"), str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: SyntaxError (line 1): {path}: not valid UTF-8 (invalid "
+                       "continuation byte)\n")
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
         code, out, err = run(capsys, "eval", str(path), "a")
         assert (code, out) == (2, "")
-        assert err == "error: SyntaxError: nesting is too deep to parse\n"
+        assert err == f"error: SyntaxError: {path}: nesting is too deep to parse\n"
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (2, "")
         assert err == f"{path}: error: SyntaxError: nesting is too deep to parse\n"
+
+
+def test_relabeling_degree_texts_relabels_eval_and_range(capsys, tmp_path):
+    """Degrees matter only by their order: rewriting every degree text of a
+    document by a strictly increasing f that fixes 0 and 1 relabels what
+    eval and range print."""
+    rng = random.Random(285)
+    pool = farey_pool(6)
+    for i in range(12):
+        m = random_nthfa(rng, max_states=3, alphabet=["a", "b"], pool=pool)
+        f = random_relabeling(rng, pool)
+        doc = json.loads(serialize_automaton(m))
+        for texts in [row["value"] for row in doc["transitions"]] + list(doc["final"].values()):
+            texts[:] = [format_degree(f[parse_degree(text)]) for text in texts]
+        path, relabeled = tmp_path / f"m{i}.json", tmp_path / f"f{i}.json"
+        path.write_text(serialize_automaton(m), encoding="utf-8")
+        relabeled.write_text(json.dumps(doc), encoding="utf-8")
+        commands = [("range",)] + [("eval", format_word(w, m.alphabet))
+                                   for w in iter_words(m.alphabet, 3)]
+        for command, *word in commands:
+            code, out, _ = run(capsys, command, str(path), *word)
+            assert code == 0
+            want = "".join(f"{relabel(f, Thfe(line[1:-1].split(', ')))}\n"
+                           for line in out.splitlines())
+            assert run(capsys, command, str(relabeled), *word) == (0, want, ""), (doc, word)
 
 
 class TestLoneSurrogates:
@@ -431,9 +469,11 @@ class TestLoneSurrogates:
 
     @pytest.mark.parametrize("command", ["determinize", "embed", "decompose"])
     def test_commands_exit_two_with_one_error(self, capsys, fixtures_dir, command):
-        code, out, err = run(capsys, command, fx(fixtures_dir, "surrogate_name.json"))
+        path = fx(fixtures_dir, "surrogate_name.json")
+        code, out, err = run(capsys, command, path)
         assert (code, out) == (2, "")
-        assert err == "error: InvalidDocument: state name '\\ud800' holds a lone surrogate\n"
+        assert err == (f"error: InvalidDocument: {path}: state name '\\ud800' holds a lone "
+                       "surrogate\n")
 
     def test_low_surrogate_symbol(self, capsys, fixtures_dir, tmp_path):
         doc = json.loads((fixtures_dir / "crisp.json").read_text(encoding="utf-8"))
@@ -444,7 +484,8 @@ class TestLoneSurrogates:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "determinize", str(path))
         assert (code, out) == (2, "")
-        assert err == "error: InvalidDocument: alphabet symbol '\\udc80' holds a lone surrogate\n"
+        assert err == (f"error: InvalidDocument: {path}: alphabet symbol '\\udc80' holds a lone "
+                       "surrogate\n")
 
 
 # Characters of arbitrary names: punctuation, the escapes of constructed

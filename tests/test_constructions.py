@@ -52,10 +52,13 @@ from support import (
     random_cdthfa,
     random_cnthfa,
     random_nthfa,
+    random_relabeling,
     random_small_range_nthfa,
     random_thfe,
     random_zero_one_nthfa,
     reachable_vectors,
+    relabel,
+    relabel_nthfa,
 )
 
 F = Fraction
@@ -679,6 +682,68 @@ class TestWeightedConstructionsAgainstOracle:
                 assert c.eval(w) == r.eval(w) == reference_eval(m, w), (m, w)
         # Both crispify paths: the zero-one sink and the vector automaton.
         assert 0 < normalized < 20
+
+
+class TestMetamorphicLaws:
+    """Degrees matter only by their order, and states only by their names.
+    No operation creates a degree and the closed forms only compare degrees,
+    so a strictly increasing relabeling f of the degrees that fixes 0 and 1
+    commutes with every construction; and permuting an Nthfa's declared
+    states changes no output whose states are numbered v0, v1, ... .  Both
+    laws hold at any length, so they need no oracle."""
+
+    POOL = farey_pool(6)
+
+    def draws(self, seed: int, count: int):
+        """Nthfas on 1-3 states with Farey(6) degrees over one alphabet, each
+        with a second machine (re-rolled, its own union, or drawn anew) and
+        its own relabeling."""
+        rng = random.Random(seed)
+        for i in range(count):
+            a = random_nthfa(rng, max_states=3, alphabet=["a", "b"], pool=self.POOL)
+            if i % 3 == 0:
+                b = perturb_nthfa(rng, a)
+            elif i % 3 == 1:
+                b = union_nthfa(a, a)
+            else:
+                b = random_nthfa(rng, max_states=3, alphabet=["a", "b"], pool=self.POOL)
+            yield a, b, random_relabeling(rng, self.POOL)
+
+    def test_relabeling_commutes_with_eval_range_and_decompose(self):
+        for m, _, f in self.draws(281, 30):
+            fm = relabel_nthfa(f, m)
+            for w in iter_words(m.alphabet, 4):
+                assert fm.eval(w) == relabel(f, m.eval(w)), (m, w)
+            assert compute_range(fm) == {relabel(f, x) for x in compute_range(m)}
+            levels, relabeled = decompose(m).levels, decompose(fm).levels
+            assert [k for k, _ in relabeled] == [relabel(f, k) for k, _ in levels]
+            assert ([serialize_automaton(nfa) for _, nfa in relabeled]
+                    == [serialize_automaton(nfa) for _, nfa in levels])
+
+    def test_relabeling_commutes_with_union_and_equivalent(self):
+        verdicts = []
+        for a, b, f in self.draws(282, 30):
+            fa, fb = relabel_nthfa(f, a), relabel_nthfa(f, b)
+            assert equivalent(union_nthfa(fa, fb), relabel_nthfa(f, union_nthfa(a, b))).equivalent
+            verdict = equivalent(a, b)
+            assert equivalent(fa, fb) == verdict, (a, b)
+            verdicts.append(verdict.equivalent)
+        # Both verdicts occur, so counterexamples are compared too.
+        assert 0 < verdicts.count(True) < len(verdicts)
+
+    def test_permuting_states_changes_no_numbered_output(self):
+        rng = random.Random(283)
+        general = 0
+        for m, _, _ in self.draws(284, 30):
+            states = rng.sample(m.states, len(m.states))
+            p = Nthfa(states, m.alphabet, m.psi, m.initial, m.final_map)
+            outputs = [decompose, lambda x: recompose(decompose(x))]
+            if not m.is_zero_one():
+                outputs.append(crispify_nthfa)  # the vector automaton
+                general += 1
+            for output in outputs:
+                assert serialize_automaton(output(p)) == serialize_automaton(output(m)), m
+        assert general
 
 
 class TestConstantAutomaton:

@@ -77,6 +77,17 @@ class TestRoundTrip:
         ]
         roundtrip(n)
 
+    def test_rows_and_finals_in_declared_order(self):
+        # States and symbols declared out of name order: a dfa's rows and
+        # accepting states are written in declaration order.
+        d = Dfa(["q1", "q0"], ["b", "a"], {(q, a): "q0" for q in ("q0", "q1") for a in "ab"},
+                "q1", ["q0", "q1"])
+        doc = json.loads(serialize_automaton(d))
+        assert [(row["from"], row["symbol"]) for row in doc["transitions"]] == [
+            ("q1", "b"), ("q1", "a"), ("q0", "b"), ("q0", "a")]
+        assert doc["final"] == ["q1", "q0"]
+        roundtrip(d)
+
     def test_decomposition(self, m1):
         d = roundtrip(decompose(m1))
         assert isinstance(d, LevelDecomposition)
@@ -230,6 +241,29 @@ class TestParseErrors:
         assert [d.code for d in validate_text(text)] in (["SyntaxError"], ["InvalidDocument"])
         with pytest.raises(DocumentError):
             parse_document(text)
+
+    def test_each_repeated_key_is_an_error_and_the_rest_is_checked(self, fixtures_dir):
+        """Which value of a repeated key counts is up to the JSON reader, so
+        each key an object repeats is an error, metadata's too, once however
+        often it repeats, and every other field is still checked."""
+        text = (fixtures_dir / "repeated_key.json").read_text(encoding="utf-8")
+        repeats = [f"InvalidDocument: key {key!r} appears more than once in one object"
+                   for key in ("value", "q1", "note")]
+        assert [str(d) for d in validate_text(text)] == repeats
+        with pytest.raises(DocumentError) as exc:
+            parse_document(text)
+        assert [str(d) for d in exc.value.diagnostics] == repeats
+        broken = text.replace('"to": "q1"', '"to": "ghost"')
+        assert [str(d) for d in validate_text(broken)] == repeats + [
+            "UnknownState: transition 0: state 'ghost' is not declared"]
+        thrice = '{"kind": "nfa", "kind": "nfa", "kind": "nfa", "alphabet": ["a"], "alphabet": []}'
+        assert [str(d) for d in validate_text(thrice)] == [
+            "InvalidDocument: key 'kind' appears more than once in one object",
+            "InvalidDocument: key 'alphabet' appears more than once in one object",
+            "InvalidDocument: alphabet must be non-empty",
+            "InvalidDocument: field 'states' must be an array of strings",
+            "InvalidDocument: field 'initial' must be a string",
+        ]
 
     def test_parse_document_raises_with_diagnostics(self):
         with pytest.raises(DocumentError) as exc:
