@@ -17,6 +17,7 @@ separated by "." ("ab.cd.ab").  The empty word is spelled "" or --lambda.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +48,13 @@ from .documents import (
 __all__ = ["main", "build_parser"]
 
 
+def _shown(path: str | Path) -> str:
+    """``path`` as the command prints it.  A name the file system gave in
+    bytes that are not UTF-8 reaches Python with lone surrogates, which no
+    strict UTF-8 stream writes; those bytes are printed as \\xNN escapes."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -73,13 +81,13 @@ def _load(path: str, accepted: tuple[tuple[str, ...], str]):
     try:
         result = parse_document(_read(path))
         for warning in result.warnings:
-            print(f"{path}: warning: {warning}", file=sys.stderr)
+            print(f"{_shown(path)}: warning: {warning}", file=sys.stderr)
         kind = kind_name(result.automaton)
         if kind not in kinds:
             message = f"expected {expected}, got kind {kind!r}"
             raise DocumentError([Diagnostic("InvalidDocument", message)])
     except DocumentError as exc:
-        raise DocumentError([d._replace(message=f"{path}: {d.message}")
+        raise DocumentError([d._replace(message=f"{_shown(path)}: {d.message}")
                              for d in exc.diagnostics]) from None
     return result.automaton
 
@@ -165,11 +173,11 @@ def _cmd_decompose(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "decomposition.json"
     manifest.write_text(serialize_automaton(decomposition), encoding="utf-8")
-    print(f"wrote {manifest}")
+    print(f"wrote {_shown(manifest)}")
     for i, (key, nfa) in enumerate(decomposition.levels):
         path = out / f"level_{i:03d}.json"
         path.write_text(serialize_automaton(nfa), encoding="utf-8")
-        print(f"wrote {path} (k = {key})")
+        print(f"wrote {_shown(path)} (k = {key})")
     return 0
 
 
@@ -199,20 +207,21 @@ def _cmd_equiv(args) -> int:
 def _cmd_validate(args) -> int:
     failed = False
     for path in args.files:
+        shown = _shown(path)
         try:
             diagnostics = validate_text(_read(path))
         except DocumentError as exc:
             diagnostics = exc.diagnostics
         except OSError as exc:
-            print(f"{path}: error: {exc}", file=sys.stderr)
+            print(f"{shown}: error: {exc}", file=sys.stderr)
             failed = True
             continue
         for d in diagnostics:
-            print(f"{path}: {d.severity}: {d}", file=sys.stderr)
+            print(f"{shown}: {d.severity}: {d}", file=sys.stderr)
         if any(d.severity == "error" for d in diagnostics):
             failed = True
         else:
-            print(f"{path}: ok")
+            print(f"{shown}: ok")
     return 2 if failed else 0
 
 

@@ -110,6 +110,13 @@ class ParseResult(NamedTuple):
     warnings: tuple[Diagnostic, ...]
 
 
+class _Object(dict):
+    """A JSON object that repeats a key: ``repeated`` holds each such key
+    once, until a reader reports them."""
+
+    repeated: list[str]
+
+
 class _Report:
     """The errors and warnings found while parsing one document."""
 
@@ -131,6 +138,15 @@ class _Report:
             code = "InvalidDocument" if isinstance(exc, InvalidAutomaton) else type(exc).__name__
             self.error(code, where + exc.args[0])
 
+    def repeats(self, obj: object, where: str = "") -> None:
+        """Report each key the JSON object ``obj`` repeats after ``where``,
+        unless that was done before."""
+        if isinstance(obj, _Object):
+            for key in obj.repeated:
+                self.error("InvalidDocument",
+                           f"{where}key {key!r} appears more than once in one object")
+            obj.repeated = []
+
 
 def parse_document(text: str) -> ParseResult:
     """Parse one document; raises DocumentError unless it is well-formed."""
@@ -148,14 +164,16 @@ def validate_text(text: str) -> list[Diagnostic]:
 
 
 def _parse(text: str) -> tuple[Automaton | None, _Report]:
-    report, repeats = _Report(), _Report()
+    report = _Report()
+    repeating: list[_Object] = []
 
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            for key in (k for k in obj if [p[0] for p in pairs].count(k) > 1):
-                repeats.error("InvalidDocument", f"key {key!r} appears more than once in one "
-                              "object")
+            keys = [p[0] for p in pairs]
+            obj = _Object(obj)
+            obj.repeated = [k for k in obj if keys.count(k) > 1]
+            repeating.append(obj)
         return obj
     try:
         raw = json.loads(text, object_pairs_hook=unique)
@@ -178,8 +196,12 @@ def _parse(text: str) -> tuple[Automaton | None, _Report]:
         automaton = _parse_decomposition(raw, report)
     else:
         automaton = _parse_automaton(_KINDS[kind], raw, report)
-    # The repeated keys come first, and every other field is still checked.
-    report.errors[:0] = repeats.errors
+    # Each reader reports the repeats of the rows and fields it reads under
+    # their positions; the rest, such as the top level's, come first.
+    unnamed = _Report()
+    for obj in repeating:
+        unnamed.repeats(obj)
+    report.errors[:0] = unnamed.errors
     return (None, report) if report.errors else (automaton, report)
 
 
@@ -289,6 +311,7 @@ def _parse_final_map(
     if not isinstance(finals, dict):
         report.error("InvalidDocument", "field 'final' must be an object")
         return None
+    report.repeats(finals, "final: ")
     result: dict[str, Thfe] = {}
     for name, value in finals.items():
         if name not in states:
@@ -359,6 +382,7 @@ def _parse_transitions(
         if not isinstance(row, dict):
             report.error("InvalidDocument", f"{where}: must be an object")
             continue
+        report.repeats(row, f"{where}: ")
         if missing := [k for k in keys if k not in row]:
             report.error("InvalidDocument", f"{where}: missing field(s) {', '.join(missing)}")
             continue
@@ -478,6 +502,7 @@ def _parse_levels(rows: list, levels: list, report: _Report):
     """Each parsed level as (its number, (key, nfa)), also added to ``levels``."""
     for i, row in enumerate(rows):
         where = f"level {i}"
+        report.repeats(row, f"{where}: ")
         if not isinstance(row, dict) or "k" not in row or "nfa" not in row:
             report.error(
                 "InvalidDocument", f"{where}: must be an object with 'k' and 'nfa'"
@@ -485,6 +510,7 @@ def _parse_levels(rows: list, levels: list, report: _Report):
             continue
         key = _parse_thfe(row["k"], where, report)
         embedded = row["nfa"]
+        report.repeats(embedded, f"{where}: ")
         if not isinstance(embedded, dict) or embedded.get("kind") != "nfa":
             report.error(
                 "InvalidDocument", f"{where}: field 'nfa' must be an nfa document"

@@ -21,12 +21,17 @@ sorted universe: the degrees its weights and final values mention, plus 0
 and 1.  DegreeCodec numbers that universe and encodes a THFE as an int with
 one bit per degree, so a join is a few integer operations; values become
 Thfe again only where a caller reads them.
+
+The closed forms and ``parse_degree`` compare degrees on their integers:
+a = p/q lies below b = r/s exactly when p*s < r*q, and a == b exactly when
+(p, q) == (r, s).  This is exact because a Fraction is always reduced and
+keeps its denominator positive, and it skips Fraction's own comparison,
+which is Python code that checks both operands' types on every call.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -55,6 +60,7 @@ def parse_degree(value: str | int | Fraction) -> Fraction:
     Accepted text forms are "p/q" with non-negative integers and q > 0, or a
     decimal literal with at most 18 fractional digits; both parse exactly
     ("0.3" becomes 3/10).  Floats are rejected because they do not round-trip.
+    The range is checked on the reduced integers, as 0 <= p <= q.
     """
     if isinstance(value, float):
         raise InvalidDegree(f"float degree {value!r} rejected, use a string or Fraction")
@@ -75,7 +81,7 @@ def parse_degree(value: str | int | Fraction) -> Fraction:
             raise InvalidDegree(f"cannot parse degree {value!r}")
     else:
         raise InvalidDegree(f"cannot parse degree of type {type(value).__name__}")
-    if not 0 <= degree <= 1:
+    if not 0 <= degree.numerator <= degree.denominator:
         raise DegreeOutOfRange(f"degree {degree} outside [0, 1]")
     return degree
 
@@ -153,47 +159,75 @@ def _trusted(degrees: tuple[Fraction, ...]) -> Thfe:
     return x
 
 
-ZERO = Thfe([0])
-ONE = Thfe([1])
+# Canonical already, so they are wrapped without parsing.
+ZERO = _trusted((Fraction(0),))
+ONE = _trusted((Fraction(1),))
 
 
-def _merge(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Ascending duplicate-free union of two ascending duplicate-free tuples."""
+def _ratios(degrees: tuple[Fraction, ...]) -> list[tuple[int, int]]:
+    """Each degree's (numerator, denominator): reduced, denominator positive."""
+    return [d.as_integer_ratio() for d in degrees]
+
+
+def _from(rs: list[tuple[int, int]], r: int, s: int) -> int:
+    """The index of the first of the ascending ratios ``rs`` that is at least
+    r/s, len(rs) if none is: a/b < r/s exactly when a*s < r*b."""
+    k, n = 0, len(rs)
+    while k < n and rs[k][0] * s < r * rs[k][1]:
+        k += 1
+    return k
+
+
+def _merge(
+    xs: tuple[Fraction, ...], rx: list[tuple[int, int]],
+    ys: tuple[Fraction, ...], ry: list[tuple[int, int]],
+) -> tuple[tuple[Fraction, ...], list[tuple[int, int]]]:
+    """Ascending duplicate-free union of two ascending duplicate-free tuples,
+    given with their ratios, and the union's ratios."""
     if not ys:
-        return xs
+        return xs, rx
     if not xs:
-        return ys
-    out = []
+        return ys, ry
+    out, rout = [], []
     i = j = 0
     nx, ny = len(xs), len(ys)
     while i < nx and j < ny:
-        x, y = xs[i], ys[j]
-        if x is y or x == y:
-            out.append(x)
-            i += 1
+        (p, q), (r, s) = rx[i], ry[j]
+        ps, rq = p * s, r * q
+        if rq < ps:
+            out.append(ys[j])
+            rout.append(ry[j])
             j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
         else:
-            out.append(y)
-            j += 1
+            out.append(xs[i])
+            rout.append(rx[i])
+            i += 1
+            if ps == rq:  # an equal pair: keep one
+                j += 1
     out.extend(xs[i:])
     out.extend(ys[j:])
-    return tuple(out)
+    rout.extend(rx[i:])
+    rout.extend(ry[j:])
+    return tuple(out), rout
 
 
 def inf_combination(x: Thfe, y: Thfe) -> Thfe:
     """Pairwise minimum of two THFEs: {min(a, b) for a in x, b in y}.
 
     In closed form, every degree of either operand up to the smaller of
-    the two maxima: {v in x | y : v <= min(max x, max y)}.
+    the two maxima: {v in x | y : v <= min(max x, max y)}.  Degrees are
+    compared on their integers, p/q < r/s as p*s < r*q.
     """
     xs, ys = x.degrees, y.degrees
-    if ys[-1] < xs[-1]:
-        xs, ys = ys, xs
-    # All of xs lies at or below max xs = min(max x, max y).
-    return _trusted(_merge(xs, ys[: bisect_right(ys, xs[-1])]))
+    rx, ry = _ratios(xs), _ratios(ys)
+    (p, q), (r, s) = rx[-1], ry[-1]
+    if r * q < p * s:
+        xs, ys, rx, ry, p, q = ys, xs, ry, rx, r, s
+    # All of xs lies at or below max xs = p/q = min(max x, max y); cut ys there.
+    n = len(ys)
+    while n and p * ry[n - 1][1] < ry[n - 1][0] * q:
+        n -= 1
+    return _trusted(_merge(xs, rx, ys[:n], ry[:n])[0])
 
 
 def sup_combination(x: Thfe, y: Thfe) -> Thfe:
@@ -210,18 +244,26 @@ def sup_combination_n(family: Iterable[Thfe]) -> Thfe:
 
     In one pass: every degree of every member from the largest member
     minimum up, {v in x1 | ... | xn : v >= max(min x1, ..., min xn)}.  This
-    equals the left fold of sup_combination from {0}.
+    equals the left fold of sup_combination from {0}.  Degrees are compared
+    on their integers, p/q < r/s as p*s < r*q.
     """
     members = list(family)
     if not members:
         return ZERO
     if len(members) == 1:
         return members[0]
-    floor = max(x.degrees[0] for x in members)
+    ratios = [_ratios(x.degrees) for x in members]
+    # r/s becomes the largest member minimum, where the join starts.
+    r, s = ratios[0][0]
+    for rs in ratios:
+        p, q = rs[0]
+        if r * q < p * s:
+            r, s = p, q
     acc: tuple[Fraction, ...] = ()
-    for x in members:
-        xs = x.degrees
-        acc = _merge(acc, xs[bisect_left(xs, floor):])
+    racc: list[tuple[int, int]] = []
+    for x, rs in zip(members, ratios):
+        k = _from(rs, r, s)
+        acc, racc = _merge(acc, racc, x.degrees[k:], rs[k:])
     return _trusted(acc)
 
 
@@ -269,9 +311,11 @@ def leq(x: Thfe, y: Thfe) -> bool:
     """The derived partial order: x is below y iff sup_combination(x, y) == y.
 
     In closed form: min x <= min y, and every degree of x from min y up is
-    a degree of y.
+    a degree of y.  Degrees are compared on their integers, p/q < r/s as
+    p*s < r*q, and two degrees are equal exactly when their ratios are.
     """
-    xs, ys = x.degrees, y.degrees
-    if ys[0] < xs[0]:
+    rx, ry = _ratios(x.degrees), _ratios(y.degrees)
+    (p, q), (r, s) = rx[0], ry[0]
+    if r * q < p * s:
         return False
-    return len(_merge(ys, xs[bisect_left(xs, ys[0]):])) == len(ys)
+    return set(ry).issuperset(rx[_from(rx, r, s):])

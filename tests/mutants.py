@@ -32,6 +32,7 @@ EQUIVALENT_TESTS = "tests/test_constructions.py::TestEquivalent"
 EARLIEST = f"{EQUIVALENT_TESTS}::test_counterexample_is_verified_and_earliest"
 GOLDEN = "tests/test_acceptance.py::test_cli_output_matches_golden"
 DECLARED_ORDER = "tests/test_documents.py::TestRoundTrip::test_rows_and_finals_in_declared_order"
+AGAINST_FRACTIONS = "tests/test_hfe.py::TestAgainstFractionOrder"
 
 
 class Mutant(NamedTuple):
@@ -60,10 +61,38 @@ MUTANTS = {
     ),
     "the n-ary join cuts at the least minimum": Mutant(
         "src/hfa/hfe.py",
-        "floor = max(x.degrees[0] for x in members)",
-        "floor = min(x.degrees[0] for x in members)",
+        "        if r * q < p * s:\n            r, s = p, q\n",
+        "        if p * s < r * q:\n            r, s = p, q\n",
         ("tests/test_hfe.py::TestClosedFormsMatchDefinitions::test_sup_combination",
          "tests/test_hfe.py::TestClosedFormsMatchDefinitions::test_sup_combination_n"),
+    ),
+    "the merge treats an equal pair as a smaller one": Mutant(
+        "src/hfa/hfe.py", "if ps == rq:  # an equal pair: keep one", "if False:",
+        (f"{AGAINST_FRACTIONS}::test_inf_combination",
+         f"{AGAINST_FRACTIONS}::test_sup_combination"),
+    ),
+    "the meet keeps the operand with the larger maximum as xs": Mutant(
+        "src/hfa/hfe.py",
+        "    if r * q < p * s:\n        xs, ys, rx, ry, p, q = ys, xs, ry, rx, r, s\n",
+        "    if p * s < r * q:\n        xs, ys, rx, ry, p, q = ys, xs, ry, rx, r, s\n",
+        ("tests/test_hfe.py::TestClosedFormsMatchDefinitions::test_inf_combination",
+         f"{AGAINST_FRACTIONS}::test_inf_combination"),
+    ),
+    "the join's floor scan also drops degrees equal to the floor": Mutant(
+        "src/hfa/hfe.py", "rs[k][0] * s < r * rs[k][1]", "rs[k][0] * s <= r * rs[k][1]",
+        ("tests/test_hfe.py::TestClosedFormsMatchDefinitions::test_sup_combination_n",
+         f"{AGAINST_FRACTIONS}::test_sup_combination_n"),
+    ),
+    "leq's first test is reversed": Mutant(
+        "src/hfa/hfe.py", "    if r * q < p * s:\n        return False\n",
+        "    if p * s < r * q:\n        return False\n",
+        ("tests/test_hfe.py::TestClosedFormsMatchDefinitions::test_leq",
+         f"{AGAINST_FRACTIONS}::test_leq"),
+    ),
+    "parse_degree rejects 1": Mutant(
+        "src/hfa/hfe.py", "0 <= degree.numerator <= degree.denominator",
+        "0 <= degree.numerator < degree.denominator",
+        ("tests/test_hfe.py::TestParseDegree::test_bounds_are_inclusive",),
     ),
     "an Nfa transition skips its symbol check": Mutant(
         "src/hfa/classic.py",
@@ -170,7 +199,7 @@ MUTANTS = {
         ("tests/test_documents.py::TestRoundTrip::test_targets_in_declared_order",),
     ),
     "a load warning goes unprinted": Mutant(
-        "src/hfa/cli.py", '        print(f"{path}: warning: {warning}", file=sys.stderr)\n',
+        "src/hfa/cli.py", '        print(f"{_shown(path)}: warning: {warning}", file=sys.stderr)\n',
         "        pass\n",
         (GOLDEN,),
     ),
@@ -228,7 +257,7 @@ MUTANTS = {
          "::test_range_and_decompose_match_the_embedding",),
     ),
     "_load leaves the path out": Mutant(
-        "src/hfa/cli.py", 'message=f"{path}: {d.message}"', "message=d.message",
+        "src/hfa/cli.py", 'message=f"{_shown(path)}: {d.message}"', "message=d.message",
         ("tests/test_cli.py::TestUnreadableDocuments::test_an_operand_that_is_not_utf8_is_named",),
     ),
     "the object hook ignores a repeated key": Mutant(
@@ -276,8 +305,9 @@ MUTANTS = {
 
 # (file, old text, new text, why no test can tell them apart)
 EQUIVALENT = {
-    "bisect_left in inf_combination": (
-        "src/hfa/hfe.py", "ys[: bisect_right(ys, xs[-1])]", "ys[: bisect_left(ys, xs[-1])]",
+    "the meet's cut also drops a degree equal to max xs": (
+        "src/hfa/hfe.py", "while n and p * ry[n - 1][1] < ry[n - 1][0] * q:",
+        "while n and p * ry[n - 1][1] <= ry[n - 1][0] * q:",
         "the cut degree max xs is in xs, so the merge keeps it either way",
     ),
     "!= ZERO in the meet-join": (

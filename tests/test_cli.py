@@ -421,6 +421,26 @@ class TestUnreadableDocuments:
         assert err == (f"error: SyntaxError (line 1): {path}: not valid UTF-8 (invalid "
                        "continuation byte)\n")
 
+    def test_a_file_name_that_is_not_utf8_is_printed_escaped(self, fixtures_dir, tmp_path,
+                                                            monkeypatch):
+        """Such a name reaches the command with lone surrogates; the lines
+        that name it take its bytes as \\xNN escapes, so a strict UTF-8
+        stdout, as a UTF-8 locale gives, writes them."""
+        path = tmp_path / os.fsdecode(b"m\xff.json")
+        path.write_bytes((fixtures_dir / "m1.json").read_bytes())
+        out_dir = tmp_path / os.fsdecode(b"out\xff")
+        written = io.BytesIO()
+        stdout = io.TextIOWrapper(written, encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["validate", str(path)]) == 0
+        assert main(["decompose", str(path), "-o", str(out_dir)]) == 0
+        stdout.flush()
+        lines = written.getvalue().decode("utf-8").splitlines()
+        assert lines[:2] == [f"{tmp_path}{os.sep}m\\xff.json: ok",
+                             f"wrote {tmp_path}{os.sep}out\\xff{os.sep}decomposition.json"]
+        assert len(lines) == 5
+        assert (out_dir / "level_002.json").is_file()
+
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")

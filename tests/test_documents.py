@@ -247,15 +247,16 @@ class TestParseErrors:
         each key an object repeats is an error, metadata's too, once however
         often it repeats, and every other field is still checked."""
         text = (fixtures_dir / "repeated_key.json").read_text(encoding="utf-8")
-        repeats = [f"InvalidDocument: key {key!r} appears more than once in one object"
-                   for key in ("value", "q1", "note")]
+        repeats = [f"InvalidDocument: {where}key {key!r} appears more than once in one object"
+                   for where, key in (("", "note"), ("transition 0: ", "value"),
+                                      ("final: ", "q1"))]
         assert [str(d) for d in validate_text(text)] == repeats
         with pytest.raises(DocumentError) as exc:
             parse_document(text)
         assert [str(d) for d in exc.value.diagnostics] == repeats
         broken = text.replace('"to": "q1"', '"to": "ghost"')
-        assert [str(d) for d in validate_text(broken)] == repeats + [
-            "UnknownState: transition 0: state 'ghost' is not declared"]
+        assert [str(d) for d in validate_text(broken)] == repeats[:2] + [
+            "UnknownState: transition 0: state 'ghost' is not declared"] + repeats[2:]
         thrice = '{"kind": "nfa", "kind": "nfa", "kind": "nfa", "alphabet": ["a"], "alphabet": []}'
         assert [str(d) for d in validate_text(thrice)] == [
             "InvalidDocument: key 'kind' appears more than once in one object",
@@ -263,6 +264,30 @@ class TestParseErrors:
             "InvalidDocument: alphabet must be non-empty",
             "InvalidDocument: field 'states' must be an array of strings",
             "InvalidDocument: field 'initial' must be a string",
+        ]
+
+    def test_a_repeated_key_is_reported_under_the_position_of_its_object(self, fixtures_dir):
+        """A repeat in a transition row, the final map, a level row or a
+        level's nfa starts with that position, as the other diagnostics of
+        the row or field do; one in an object no reader names, the top level
+        or metadata, has no position and comes first."""
+        text = (fixtures_dir / "repeated_key.json").read_text(encoding="utf-8")
+        assert [str(d) for d in validate_text(text)] == [
+            "InvalidDocument: key 'note' appears more than once in one object",
+            "InvalidDocument: transition 0: key 'value' appears more than once in one object",
+            "InvalidDocument: final: key 'q1' appears more than once in one object",
+        ]
+        nfa = ('{"kind": "nfa", "alphabet": ["a"], "states": ["v0"], "initial": "v0", %s'
+               '"transitions": [{"from": "v0", "symbol": "a", %s"to": ["v0"]}], "final": ["v0"]}')
+        levels = ('{"kind": "decomposition", "kind": "decomposition", "alphabet": ["a"], '
+                  '"levels": [{"k": ["0"], "nfa": ' + nfa % ('"initial": "v0", ', '"symbol": "a", ')
+                  + '}, {"k": ["1"], "k": ["1"], "nfa": ' + nfa % ("", "") + "}]}")
+        assert [str(d) for d in validate_text(levels)] == [
+            "InvalidDocument: key 'kind' appears more than once in one object",
+            "InvalidDocument: level 0: key 'initial' appears more than once in one object",
+            "InvalidDocument: level 0: transition 0: key 'symbol' appears more than once in one "
+            "object",
+            "InvalidDocument: level 1: key 'k' appears more than once in one object",
         ]
 
     def test_parse_document_raises_with_diagnostics(self):

@@ -19,7 +19,7 @@ from hfa import (
     sup_combination,
     sup_combination_n,
 )
-from hfa.hfe import DegreeCodec
+from hfa.hfe import DegreeCodec, _trusted
 from hfa.hesitant import Nthfa
 from hfa.oracle import pairwise_inf, pairwise_leq, pairwise_sup, pairwise_sup_n, reference_eval
 from support import generated_closure, is_degenerate, path_join
@@ -90,6 +90,20 @@ class TestParseDegree:
     @pytest.mark.parametrize("value", ["3/2", "1.5", 2, F(-1, 2)])
     def test_out_of_range_rejected(self, value):
         with pytest.raises(DegreeOutOfRange):
+            parse_degree(value)
+
+    @pytest.mark.parametrize("value, expected", [
+        (0, F(0)), (1, F(1)), ("1/1", F(1)), ("5/5", F(1)), (F(1, 10**40), F(1, 10**40)),
+    ])
+    def test_bounds_are_inclusive(self, value, expected):
+        assert parse_degree(value) == expected
+
+    @pytest.mark.parametrize("value, shown", [
+        ("3/2", "3/2"), (2, "2"), (F(-1, 3), "-1/3"),
+        (F(10**40 + 1, 10**40), f"{10**40 + 1}/{10**40}"),
+    ])
+    def test_out_of_range_message(self, value, shown):
+        with pytest.raises(DegreeOutOfRange, match=rf"^degree {shown} outside \[0, 1\]$"):
             parse_degree(value)
 
 
@@ -251,6 +265,85 @@ class TestClosedFormsMatchDefinitions:
         if lift:
             y = pairwise_sup(x, y)
         assert leq(x, y) == pairwise_leq(x, y)
+
+
+# Degrees that stress a comparison made on numerators and denominators:
+# the bounds, one value held by distinct objects ("0.5", "2/4", a new
+# Fraction each draw), and neighbours whose cross products differ by one.
+_NEAR = 10**30
+stress_degrees = st.one_of(
+    st.sampled_from([0, 1, "0", "1/1", "0.5", "2/4", F(2, 4), F(1, 2),
+                     F(_NEAR, _NEAR + 1), F(_NEAR + 1, _NEAR + 2), F(_NEAR - 1, _NEAR),
+                     F(1, _NEAR), F(1, _NEAR + 1)]),
+    st.builds(lambda: F(1, 2)),
+    st.builds(lambda: F(_NEAR, _NEAR + 1)),
+    degrees,
+)
+stress_thfes = st.builds(Thfe, st.lists(stress_degrees, min_size=1, max_size=8))
+
+
+def _ascending(values) -> tuple[Fraction, ...]:
+    """A set of degrees in Fraction's own order."""
+    return tuple(sorted(set(values)))
+
+
+class TestAgainstFractionOrder:
+    """The closed forms compare degrees on their integers; these laws build
+    each expected value with Fraction's own ordering (min, max, sorted,
+    set) instead, so a slip that the integer oracle shared would show."""
+
+    @settings(max_examples=200)
+    @given(stress_thfes, stress_thfes)
+    def test_inf_combination(self, x, y):
+        expected = _ascending(min(a, b) for a in x for b in y)
+        assert inf_combination(x, y).degrees == expected
+
+    @settings(max_examples=200)
+    @given(stress_thfes, stress_thfes)
+    def test_sup_combination(self, x, y):
+        expected = _ascending(max(a, b) for a in x for b in y)
+        assert sup_combination(x, y).degrees == expected
+
+    @settings(max_examples=200)
+    @given(st.lists(stress_thfes, max_size=4))
+    def test_sup_combination_n(self, family):
+        expected = {F(0)}
+        for x in family:
+            expected = {max(a, b) for a in expected for b in x}
+        assert sup_combination_n(family).degrees == _ascending(expected)
+
+    @settings(max_examples=200)
+    @given(stress_thfes, stress_thfes, st.booleans())
+    def test_leq(self, x, y, lift):
+        if lift:
+            y = Thfe(max(a, b) for a in x for b in y)
+        expected = _ascending(max(a, b) for a in x for b in y) == y.degrees
+        assert leq(x, y) == expected
+
+    def test_degrees_are_compared_on_their_integers(self):
+        """No degree takes part in a rich comparison: each of these raises."""
+
+        class Uncomparable(Fraction):
+            def _refuse(self, other):
+                raise AssertionError("a degree was compared as a Fraction")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+            __hash__ = Fraction.__hash__
+
+        def thfe(*pairs):
+            return _trusted(tuple(Uncomparable(p, q) for p, q in pairs))
+
+        def ratios(x):
+            return [d.as_integer_ratio() for d in x.degrees]
+
+        x, y = thfe((0, 1), (1, 3), (1, 2)), thfe((1, 4), (1, 2), (1, 1))
+        assert ratios(inf_combination(x, y)) == [(0, 1), (1, 4), (1, 3), (1, 2)]
+        assert ratios(sup_combination(x, y)) == [(1, 4), (1, 3), (1, 2), (1, 1)]
+        assert ratios(sup_combination_n([x, y, thfe((1, 3))])) == [(1, 3), (1, 2), (1, 1)]
+        assert leq(x, sup_combination(x, y)) and not leq(y, x)
+        assert parse_degree(Uncomparable(1, 1)).as_integer_ratio() == (1, 1)
+        with pytest.raises(DegreeOutOfRange):
+            parse_degree(Uncomparable(4, 3))
 
 
 class TestOrder:
